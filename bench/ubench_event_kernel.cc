@@ -5,14 +5,13 @@
  * Drives a fig07-shaped synthetic event pattern — per-core poll-tick
  * chains (~50 ns), device round trips (~1 µs, DeviceResponse
  * priority), same-tick continuation steps, and timeout-guard
- * reschedule churn — through three kernels:
+ * reschedule churn — through two kernels:
  *
  *  - legacy: a faithful replica of the pre-arena kernel (binary
  *    heap, one heap-allocated CallbackEvent + ownedLambdas map entry
  *    per one-shot, per-schedule name concatenation, virtual
  *    dispatch), kept here as the committed baseline;
- *  - heap:   today's kernel on the reference binary-heap scheduler;
- *  - ladder: today's kernel on the ladder scheduler (the default).
+ *  - ladder: today's kernel (arena events on the ladder scheduler).
  *
  * The measured loop is the schedule -> dispatch round trip exactly as
  * the model's call sites drive it, so the legacy column prices in the
@@ -25,7 +24,6 @@
  * committed baseline (tests/artifacts/event_kernel_baseline.json).
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -38,12 +36,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include <thread>
-
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "sim/event.hh"
-#include "sim/parallel.hh"
 #include "sweep/bench_log.hh"
 #include "tools/tool_args.hh"
 
@@ -342,152 +337,6 @@ measure(Queue &queue, std::uint64_t target_events)
     return Measurement{serviced, secs};
 }
 
-// ---------------------------------------------------------------
-// Parallel shard-executor points (threads column).
-// ---------------------------------------------------------------
-
-/**
- * The same fig07-shaped pattern, partitioned across shard domains:
- * every domain runs its own poll-tick chain with guard churn, the
- * host's chain issues device reads round-robin across the shards
- * (crossing the mailboxes), and each shard answers with a local
- * continuation step plus a DeviceResponse crossing back — i.e. the
- * exact event classes SimSystem drives through the executor. Wall
- * time is measured over ParallelExecutor::run, so the reported
- * events/sec prices in epoch windows, barriers, and absorption.
- */
-class ParallelDriver
-{
-  public:
-    ParallelDriver(ParallelExecutor &exec) : exec(exec)
-    {
-        const std::uint32_t domains = exec.domainCount();
-        pollCount.resize(domains, 0);
-        stepsDone.resize(domains, 0);
-        for (std::uint32_t d = 0; d < domains; ++d) {
-            const std::string base = "dom" + std::to_string(d);
-            wakeName.push_back(base + ".wake");
-            stepName.push_back(base + ".step");
-            deliverName.push_back(base + ".deliver");
-            respName.push_back(base + ".resp");
-            guards.push_back(std::make_unique<CallbackEvent>(
-                base + ".guard", [] {}));
-        }
-    }
-
-    ~ParallelDriver()
-    {
-        for (std::uint32_t d = 0; d < exec.domainCount(); ++d) {
-            if (guards[d]->scheduled())
-                exec.domainQueue(d).deschedule(guards[d].get());
-        }
-    }
-
-    static constexpr Tick pollPeriod = 50 * tickPerNs;
-    static constexpr Tick deviceLatency = 1000 * tickPerNs;
-    static constexpr Tick guardTimeout = 100'000 * tickPerNs;
-    /** >= the PCIe-propagation floor the real topology yields. */
-    static constexpr Tick lookahead = 500 * tickPerNs;
-
-    void
-    start()
-    {
-        for (std::uint32_t d = 0; d < exec.domainCount(); ++d)
-            schedulePoll(d, exec.domainQueue(d).curTick() +
-                                pollPeriod);
-    }
-
-    /** Sim ticks that generate roughly @p events across all
-     *  domains: one poll per domain per period, plus ~one
-     *  crossing-chain event per period from the host's issues. */
-    Tick
-    horizonFor(std::uint64_t events) const
-    {
-        const std::uint64_t perPeriod = exec.domainCount() + 1;
-        return (events / perPeriod + 1) * pollPeriod;
-    }
-
-  private:
-    void
-    schedulePoll(std::uint32_t d, Tick when)
-    {
-        exec.domainQueue(d).scheduleLambda(
-            when, [this, d] { pollTick(d); },
-            EventPriority::CpuTick, wakeName[d]);
-    }
-
-    void
-    pollTick(std::uint32_t d)
-    {
-        EventQueue &q = exec.domainQueue(d);
-        // Watchdog churn on every domain, as in the serial driver.
-        if (++pollCount[d] % 4 == 0) {
-            q.reschedule(guards[d].get(),
-                         q.curTick() + guardTimeout);
-            if (d == 0 && inFlight < 10)
-                issueRead(1 + (issued++ % exec.shardDomainCount()));
-        }
-        schedulePoll(d, q.curTick() + pollPeriod);
-    }
-
-    /** Host context: cross to shard @p s and back. */
-    void
-    issueRead(std::uint32_t s)
-    {
-        ++inFlight;
-        const Tick when =
-            exec.domainQueue(0).curTick() + deviceLatency;
-        exec.domainQueue(s).scheduleLambda(
-            when,
-            [this, s] {
-                EventQueue &sq = exec.domainQueue(s);
-                // Same-tick continuation on the shard...
-                sq.scheduleLambda(
-                    sq.curTick(), [this, s] { ++stepsDone[s]; },
-                    EventPriority::CpuTick, stepName[s]);
-                // ...and the response crossing back to the host.
-                exec.domainQueue(0).scheduleLambda(
-                    sq.curTick() + deviceLatency,
-                    [this] { --inFlight; },
-                    EventPriority::DeviceResponse, respName[s]);
-            },
-            EventPriority::DeviceResponse, deliverName[s]);
-    }
-
-    ParallelExecutor &exec;
-    std::vector<std::string> wakeName, stepName, deliverName,
-        respName;
-    std::vector<std::unique_ptr<CallbackEvent>> guards;
-    std::vector<std::uint64_t> pollCount;
-    std::vector<std::uint64_t> stepsDone;
-    std::uint64_t issued = 0;
-    unsigned inFlight = 0; //!< host-domain-only bookkeeping
-};
-
-Measurement
-measureParallel(std::uint32_t shards, std::uint32_t threads,
-                std::uint64_t target_events)
-{
-    EventQueue host;
-    ParallelExecutor exec(host, shards, ParallelDriver::lookahead,
-                          threads);
-    ParallelDriver driver(exec);
-    driver.start();
-
-    const Tick warmHorizon =
-        driver.horizonFor(std::min<std::uint64_t>(
-            target_events / 10, 50'000));
-    exec.run(warmHorizon);
-    const std::uint64_t warmed = exec.totalServiced();
-
-    const auto t0 = std::chrono::steady_clock::now();
-    exec.run(warmHorizon + driver.horizonFor(target_events));
-    const double secs =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0).count();
-    return Measurement{exec.totalServiced() - warmed, secs};
-}
-
 } // anonymous namespace
 
 int
@@ -528,12 +377,7 @@ main(int argc, char **argv)
     const Measurement legacy =
         measure<LegacyQueue, true>(legacy_q, events);
 
-    EventQueue heap_q(EventQueue::SchedulerKind::Heap);
-    measure<EventQueue, false>(heap_q, warm);
-    const Measurement heap =
-        measure<EventQueue, false>(heap_q, events);
-
-    EventQueue ladder_q(EventQueue::SchedulerKind::Ladder);
+    EventQueue ladder_q;
     measure<EventQueue, false>(ladder_q, warm);
     const Measurement ladder =
         measure<EventQueue, false>(ladder_q, events);
@@ -543,74 +387,24 @@ main(int argc, char **argv)
             ? ladder.eventsPerSec() / legacy.eventsPerSec()
             : 0.0;
 
-    // Parallel shard-executor points: same pattern partitioned
-    // across 4 shard domains, swept over the threads column.
-    constexpr std::uint32_t parShards = 4;
-    constexpr std::uint32_t parThreads[] = {1, 2, 4, 8};
-    std::vector<Measurement> par;
-    for (std::uint32_t t : parThreads)
-        par.push_back(measureParallel(parShards, t, events));
-
-    const unsigned hw = std::thread::hardware_concurrency();
     std::printf("event-kernel microbench (%llu events/kernel, "
-                "fig07-shaped pattern, %u hw threads)\n",
-                (unsigned long long)events, hw);
-    std::printf("  %-22s %7s %12s\n", "kernel", "threads",
-                "Mevents/s");
-    std::printf("  %-22s %7u %12.3f\n", "legacy (pre-arena)", 1u,
+                "fig07-shaped pattern)\n",
+                (unsigned long long)events);
+    std::printf("  %-22s %12.3f Mevents/s\n", "legacy (pre-arena)",
                 legacy.eventsPerSec() / 1e6);
-    std::printf("  %-22s %7u %12.3f\n", "heap (reference)", 1u,
-                heap.eventsPerSec() / 1e6);
-    std::printf("  %-22s %7u %12.3f\n", "ladder (default)", 1u,
+    std::printf("  %-22s %12.3f Mevents/s\n", "ladder",
                 ladder.eventsPerSec() / 1e6);
-    for (std::size_t i = 0; i < par.size(); ++i) {
-        std::printf("  %-22s %7u %12.3f\n", "parallel (shards=4)",
-                    parThreads[i], par[i].eventsPerSec() / 1e6);
-    }
     std::printf("  ladder vs legacy: %.2fx\n", ratio);
 
-    // Parallel-path health ratios: t1 vs the serial ladder prices
-    // the epoch/mailbox machinery (same process, machine-neutral);
-    // best-vs-t1 is the threading speedup (meaningful only when
-    // the host has cores to run the domains on).
-    const double parT1VsLadder =
-        ladder.eventsPerSec() > 0.0
-            ? par[0].eventsPerSec() / ladder.eventsPerSec()
-            : 0.0;
-    double bestPar = 0.0;
-    for (const Measurement &m : par)
-        bestPar = std::max(bestPar, m.eventsPerSec());
-    const double parSpeedup = par[0].eventsPerSec() > 0.0
-                                  ? bestPar / par[0].eventsPerSec()
-                                  : 0.0;
-    std::printf("  parallel t1 vs ladder: %.2fx, best-thread "
-                "speedup: %.2fx\n",
-                parT1VsLadder, parSpeedup);
-
     if (!bench_json.empty()) {
-        std::string parPoints;
-        for (std::size_t i = 0; i < par.size(); ++i) {
-            parPoints += csprintf(
-                "%s{\"threads\": %u, \"events_per_s\": %.6g}",
-                i == 0 ? "" : ", ", parThreads[i],
-                par[i].eventsPerSec());
-        }
         const std::string record = csprintf(
             "{\"figure\": \"ubench_event_kernel\", "
             "\"events\": %llu, "
             "\"legacy_events_per_s\": %.6g, "
-            "\"heap_events_per_s\": %.6g, "
             "\"events_per_s\": %.6g, "
-            "\"ratio_vs_legacy\": %.4g, "
-            "\"hw_threads\": %u, "
-            "\"parallel_shards\": %u, "
-            "\"parallel\": [%s], "
-            "\"parallel_t1_vs_ladder\": %.4g, "
-            "\"parallel_speedup_vs_t1\": %.4g}",
+            "\"ratio_vs_legacy\": %.4g}",
             (unsigned long long)events, legacy.eventsPerSec(),
-            heap.eventsPerSec(), ladder.eventsPerSec(), ratio, hw,
-            parShards, parPoints.c_str(), parT1VsLadder,
-            parSpeedup);
+            ladder.eventsPerSec(), ratio);
         if (!sweep::appendBenchJson(bench_json, record)) {
             std::fprintf(stderr,
                          "ubench_event_kernel: cannot write %s\n",

@@ -87,22 +87,6 @@ class SimChecker : public SimObject
 
     std::size_t checkCount() const { return checks.size(); }
 
-    /**
-     * Extra "work remains" probe consulted by the reschedule
-     * decision. The parallel executor partitions the event space, so
-     * the checker's own queue going empty no longer means the model
-     * is drained; the probe reports whether other domains still owe
-     * events at the sweep tick. It must be a deterministic function
-     * of model state visible to the sweeping thread — SimSystem
-     * derives it from host-side issue/completion bookkeeping, which
-     * makes the parallel sweep schedule reproduce the serial one
-     * exactly (see DESIGN.md §15).
-     */
-    void setPendingProbe(std::function<bool(Tick)> probe)
-    {
-        pendingProbe = std::move(probe);
-    }
-
     Counter sweepsRun;
     Counter checksRun;
 
@@ -114,13 +98,10 @@ class SimChecker : public SimObject
         ++sweepsRun;
         // Reschedule only while other work remains: a lone checker
         // event must not keep a drained queue spinning forever.
-        if (eventQueue().size() > 0 ||
-            (pendingProbe && pendingProbe(curTick()))) {
+        if (eventQueue().size() > 0)
             scheduleIn(&sweepEvent, sweepInterval);
-        }
     }
 
-    std::function<bool(Tick)> pendingProbe;
     std::vector<std::pair<std::string, CheckFn>> checks;
     CallbackEvent sweepEvent;
     Tick sweepInterval;

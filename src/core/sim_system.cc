@@ -7,7 +7,6 @@
 #include "core/on_demand_core.hh"
 #include "core/prefetch_core.hh"
 #include "core/sw_queue_core.hh"
-#include "fault/fault_plan.hh"
 #include "serve/serve_driver.hh"
 #include "trace/occupancy_sampler.hh"
 #include "trace/trace.hh"
@@ -54,10 +53,6 @@ SimSystem::SimSystem(SystemConfig config)
         kmuAssert(healthPeriod > 0, "health epoch must span time");
     }
 
-    // Executor selection must precede component construction: the
-    // shard-bound components take their domain queue by reference.
-    buildParallel();
-
     dram = std::make_unique<DramModel>("dram", eq, cfg.dram, &root);
     readLatency = std::make_unique<Average>(
         root, "read_latency_ns", "issue-to-fill read latency");
@@ -79,45 +74,6 @@ SimSystem::SimSystem(SystemConfig config)
         buildMemoryMapped();
     }
     buildChecker();
-}
-
-void
-SimSystem::buildParallel()
-{
-    const ParallelMode mode = cfg.parallel == ParallelMode::Auto
-                                  ? defaultParallelMode()
-                                  : cfg.parallel;
-    if (mode != ParallelMode::Shards)
-        return;
-
-    // Eligibility: the shard boundary is the only lookahead boundary
-    // the model has, so the executor needs (a) more than one shard,
-    // (b) the memory-mapped PCIe device path (software queues and
-    // the memory-bus attach schedule host<->device work with no
-    // link-latency separation), and (c) none of the serial-only
-    // subsystems armed — an installed fault plan draws from shared
-    // per-site RNG streams in component order, and the health
-    // controller reads shard counters from host events mid-run; both
-    // are correct only single-threaded. Ineligible configurations
-    // silently run serial: KMU_PARALLEL may only change speed, never
-    // output.
-    const Tick lookahead =
-        topo::lookaheadTicks(cfg.topo, cfg.pcie.propagation);
-    if (cfg.topo.shards <= 1 || lookahead == 0 ||
-        cfg.mechanism == Mechanism::SwQueue ||
-        cfg.backing != Backing::Device ||
-        cfg.attach != DeviceAttach::Pcie ||
-        cfg.health.mode != health::Mode::Off ||
-        fault::plan() != nullptr) {
-        return;
-    }
-
-    const std::uint32_t threads = cfg.parallelThreads != 0
-                                      ? cfg.parallelThreads
-                                      : defaultParallelThreads();
-    parExec = std::make_unique<ParallelExecutor>(
-        eq, cfg.topo.shards, lookahead, threads);
-    parWriteDelivers.resize(cfg.topo.shards);
 }
 
 std::uint32_t
@@ -200,26 +156,18 @@ SimSystem::buildMemoryMapped()
         // in the single-device order so a shards=1 system registers
         // the exact pre-sharding stat tree.
         for (std::uint32_t s = 0; s < shards; ++s) {
-            // Under the parallel executor the link + device live on
-            // shard domain 1+s; completions route back to the host
-            // queue. Chip queues stay host-side (grants run in the
-            // issuing core's event context).
-            EventQueue &shard_q =
-                parExec ? parExec->domainQueue(1 + s) : eq;
             links.push_back(std::make_unique<PcieLink>(
-                topo::shardName("pcie", s, shards), shard_q, cfg.pcie,
+                topo::shardName("pcie", s, shards), eq, cfg.pcie,
                 &root));
             links.back()->setFaultShard(s);
-            if (parExec)
-                links.back()->setHostSideQueue(&eq);
             chipQueues.push_back(std::make_unique<UncoreQueue>(
                 topo::shardName("chip_pcie_queue", s, shards), eq,
                 topo::chipQueueSlice(cfg.chipPcieQueue, cfg.topo),
                 &root));
             chipQueues.back()->setFaultShard(s);
             devices.push_back(std::make_unique<DeviceEmulator>(
-                topo::shardName("device", s, shards), shard_q,
-                cfg.device, *links.back(), cfg.numCores, &root));
+                topo::shardName("device", s, shards), eq, cfg.device,
+                *links.back(), cfg.numCores, &root));
         }
     }
     if (membus) {
@@ -266,18 +214,10 @@ SimSystem::buildMemoryMapped()
                 chipQueues[s]->acquire(
                     [this, c, s, line, issued,
                      fill = std::move(fill)]() mutable {
-                        // Grant and fill are both host events, so
-                        // this counter replays identically serial
-                        // or parallel; it feeds the checker's
-                        // pending-work probe (parallel only).
-                        if (parExec)
-                            ++parReadsInFlight;
                         devices[s]->hostRead(
                             c, line,
                             [this, s, issued,
                              fill = std::move(fill)]() {
-                                if (parExec)
-                                    --parReadsInFlight;
                                 chipQueues[s]->release();
                                 sampleReadLatency(
                                     ticksToNs(eq.curTick() - issued));
@@ -309,14 +249,8 @@ SimSystem::buildMemoryMapped()
 
         if (to_device && !membus) {
             cores.back()->setWriteHook([this, c](Addr line) {
-                const std::uint32_t s = topo::shardOf(line, cfg.topo);
-                const Tick deliver = devices[s]->hostWrite(c, line);
-                // Posted writes leave no host-side completion, so
-                // the pending-work probe tracks their absorb ticks
-                // instead (per-shard ToDevice delivery is monotone,
-                // so each deque stays sorted).
-                if (parExec)
-                    parWriteDelivers[s].push_back(deliver);
+                devices[topo::shardOf(line, cfg.topo)]->hostWrite(
+                    c, line);
             });
         }
         // Memory-bus-attached and DRAM-backed writes are absorbed by
@@ -431,25 +365,6 @@ SimSystem::buildChecker()
     });
     checker->addCheck("link_goodput", [this]() {
         for (auto &lnk : links) {
-            // Under the parallel executor the ToHost counters are
-            // written by the shard threads mid-window, so the sweep
-            // (a host event) validates only the host-written
-            // direction; the full both-direction check runs at
-            // every epoch barrier instead (registered below). The
-            // check itself stays registered either way so the
-            // sweeps/checks stat counters match serial exactly.
-            if (parExec) {
-                KMU_MODEL_CHECK(
-                    lnk->usefulBytes(LinkDir::ToDevice) <=
-                        lnk->wireBytes(LinkDir::ToDevice),
-                    "%s useful bytes %llu exceed wire bytes %llu",
-                    lnk->name().c_str(),
-                    (unsigned long long)lnk->usefulBytes(
-                        LinkDir::ToDevice),
-                    (unsigned long long)lnk->wireBytes(
-                        LinkDir::ToDevice));
-                continue;
-            }
             for (LinkDir dir : {LinkDir::ToDevice, LinkDir::ToHost}) {
                 KMU_MODEL_CHECK(
                     lnk->usefulBytes(dir) <= lnk->wireBytes(dir),
@@ -472,46 +387,6 @@ SimSystem::buildChecker()
                 "completion ring popped more than was pushed");
         }
     });
-
-    if (parExec) {
-        // The serial sweep keeps rescheduling while the (global)
-        // queue holds events. With the event space partitioned the
-        // host queue alone can drain while read/write chains live on
-        // shard domains, so the probe reports in-flight work from
-        // host-side bookkeeping — a deterministic function of the
-        // host event stream, which makes the parallel sweep count
-        // equal serial's (DESIGN.md §15).
-        checker->setPendingProbe([this](Tick t) {
-            for (auto &dq : parWriteDelivers) {
-                while (!dq.empty() && dq.front() <= t)
-                    dq.pop_front();
-            }
-            if (parReadsInFlight > 0)
-                return true;
-            for (const auto &dq : parWriteDelivers) {
-                if (!dq.empty())
-                    return true;
-            }
-            return false;
-        });
-
-        // The barrier-time counterpart of the sweep's link check:
-        // all domains are quiesced here, so both directions'
-        // counters are safe (assert-only — no observable output).
-        parExec->addBarrierCheck([this]() {
-            for (auto &lnk : links) {
-                for (LinkDir dir :
-                     {LinkDir::ToDevice, LinkDir::ToHost}) {
-                    KMU_MODEL_CHECK(
-                        lnk->usefulBytes(dir) <= lnk->wireBytes(dir),
-                        "%s useful bytes %llu exceed wire bytes %llu",
-                        lnk->name().c_str(),
-                        (unsigned long long)lnk->usefulBytes(dir),
-                        (unsigned long long)lnk->wireBytes(dir));
-                }
-            }
-        });
-    }
 }
 
 void
@@ -578,22 +453,10 @@ SimSystem::sampleReadLatency(double ns)
     readLatencyLog->sample(ns);
 }
 
-Tick
-SimSystem::runTo(Tick limit)
-{
-    return parExec ? parExec->run(limit) : eq.run(limit);
-}
-
 void
 SimSystem::enableTracing(trace::TraceBuffer &buf, Tick samplePeriod)
 {
     kmuAssert(!ran, "enable tracing before run()");
-    // Trace sinks are single-threaded and shard components emit
-    // records from worker threads; callers that trace must construct
-    // the system with parallel == Off (tools/kmu_sim does).
-    kmuAssert(!parExec,
-              "tracing requires the serial executor; construct with "
-              "SystemConfig::parallel = ParallelMode::Off");
     buf.setClock([this] { return eq.curTick(); });
 
     // Trace-lane layout: one lane per core (LFB, shard-0 fetcher,
@@ -749,7 +612,7 @@ SimSystem::run()
     // serialized RunResult.
     // kmu-analyze: allow(wall-clock)
     const auto kernel0 = std::chrono::steady_clock::now();
-    runTo(cfg.warmup);
+    eq.run(cfg.warmup);
 
     struct Snapshot
     {
@@ -767,7 +630,7 @@ SimSystem::run()
 
     // Measurement window.
     const Tick end = cfg.warmup + cfg.measure;
-    runTo(end);
+    eq.run(end);
     // kmu-analyze: allow(wall-clock)
     const auto kernel1 = std::chrono::steady_clock::now();
     const double kernelSecs =
@@ -775,7 +638,7 @@ SimSystem::run()
 
     RunResult res;
     res.elapsed = cfg.measure;
-    res.kernelEvents = totalServiced();
+    res.kernelEvents = eq.serviced();
     res.kernelWallSeconds = kernelSecs;
     for (std::size_t i = 0; i < cores.size(); ++i) {
         res.iterations += cores[i]->iterations() - snaps[i].iters;

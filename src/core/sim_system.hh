@@ -18,7 +18,6 @@
 #define KMU_CORE_SIM_SYSTEM_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -180,21 +179,6 @@ class SimSystem
      * shard. */
     EventQueue &eventQueue() { return eq; }
     const SystemConfig &config() const { return cfg; }
-
-    /** True when this system runs under the shard-domain parallel
-     *  executor (the parallel request was made and the configuration
-     *  is eligible; see SystemConfig::parallel). */
-    bool parallelActive() const { return parExec != nullptr; }
-    ParallelExecutor *parallelExecutor() { return parExec.get(); }
-
-    /** Events serviced across every domain — equals eq.serviced()
-     *  for a serial run, and matches it event for event under the
-     *  parallel executor (the differential battery compares it). */
-    std::uint64_t totalServiced() const
-    {
-        return parExec ? parExec->totalServiced() : eq.serviced();
-    }
-
     CoreBase &core(std::size_t i) { return *cores.at(i); }
     std::size_t coreCount() const { return cores.size(); }
     std::uint32_t shardCount() const { return cfg.topo.shards; }
@@ -239,29 +223,6 @@ class SimSystem
     EventQueue eq;
     StatGroup root;
 
-    /**
-     * Conservative parallel executor (sim/parallel.hh); null for a
-     * serial run. Declared before the links/devices so the shard
-     * domain queues it owns are destroyed after every component
-     * bound to them, and so its worker threads are joined only once
-     * all post-run result reads are done.
-     */
-    std::unique_ptr<ParallelExecutor> parExec;
-
-    /** @{
-     * Host-side pending-work bookkeeping for the checker's sweep
-     * probe under the parallel executor: reads in flight between
-     * chip-queue grant and host fill, and per-shard absorb ticks of
-     * posted writes still travelling. Both are touched only from
-     * host-domain events, so the probe is a deterministic function
-     * of the host event stream — which is what keeps the parallel
-     * sweep schedule (and the sweeps/checks stat counters) identical
-     * to serial. Untouched (and empty) in serial runs.
-     */
-    std::uint64_t parReadsInFlight = 0;
-    std::vector<std::deque<Tick>> parWriteDelivers;
-    /** @} */
-
     std::unique_ptr<DramModel> dram;
     /** One link / chip queue / device emulator per shard (shard 0 is
      *  the whole system when cfg.topo.shards == 1). */
@@ -289,14 +250,6 @@ class SimSystem
 
     /** Record one issue-to-fill latency in both latency stats. */
     void sampleReadLatency(double ns);
-
-    /** Service all events up to @p limit on whichever executor this
-     *  run uses. */
-    Tick runTo(Tick limit);
-
-    /** Construct the parallel executor when the config requests it
-     *  and is eligible; no-op (serial) otherwise. */
-    void buildParallel();
 };
 
 /** Build and run one system; convenience for benches and tests. */

@@ -28,7 +28,6 @@
 #include "mem/dram_model.hh"
 #include "mem/pcie_link.hh"
 #include "serve/serve_config.hh"
-#include "sim/parallel.hh"
 #include "topo/topology.hh"
 
 namespace kmu
@@ -90,29 +89,6 @@ struct SystemConfig
      * real-time runtime only.
      */
     health::Config health;
-
-    /**
-     * Conservative parallel execution across shard domains
-     * (sim/parallel.hh). Auto follows the KMU_PARALLEL environment
-     * knob; Shards requests the shard-domain executor, Off forces
-     * the serial kernel. The request only takes effect when the
-     * configuration is eligible — multi-shard, device-backed,
-     * memory-mapped PCIe, no fault plan, no health controller, no
-     * tracing — and is silently ignored otherwise, so a process-wide
-     * KMU_PARALLEL=shards never changes what a run computes, only
-     * how fast it computes it (output stays byte-identical either
-     * way).
-     */
-    ParallelMode parallel = ParallelMode::Auto;
-
-    /**
-     * OS threads for the parallel executor, caller included; 0 (the
-     * default) resolves KMU_PARALLEL_THREADS, and failing that one
-     * thread per domain. 1 runs the executor's epoch machinery
-     * sequentially on the calling thread (same output, no
-     * concurrency — useful for differential testing).
-     */
-    std::uint32_t parallelThreads = 0;
     /** @} */
 
     /** @{ Core microarchitecture. */

@@ -45,19 +45,16 @@ DeviceEmulator::hostRead(CoreId core, Addr addr, ResponseCallback cb)
               });
 }
 
-Tick
+void
 DeviceEmulator::hostWrite(CoreId core, Addr addr)
 {
     (void)addr;
     // Posted write: 64-byte payload TLP, absorbed at the device.
-    return link.send(LinkDir::ToDevice, cacheLineSize, 0,
-                     [this, core]() {
-                         ++writesReceived;
-                         trace::instant(trace::Kind::DevWrite,
-                                        writesReceived.value(),
-                                        std::uint16_t(traceLaneBase +
-                                                      core));
-                     });
+    link.send(LinkDir::ToDevice, cacheLineSize, 0, [this, core]() {
+        ++writesReceived;
+        trace::instant(trace::Kind::DevWrite, writesReceived.value(),
+                       std::uint16_t(traceLaneBase + core));
+    });
 }
 
 void

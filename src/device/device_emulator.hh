@@ -64,12 +64,8 @@ class DeviceEmulator : public SimObject
      * Host-side entry point for a posted line write: a 64-byte
      * write TLP travels to the device and is absorbed; no response
      * returns (the paper's future-work write path).
-     *
-     * @return the tick the write TLP is absorbed at the device (the
-     *         parallel executor's pending-work probe tracks it; the
-     *         serial engine is free to ignore it).
      */
-    Tick hostWrite(CoreId core, Addr addr);
+    void hostWrite(CoreId core, Addr addr);
 
     /**
      * First trace lane of this device's per-core service engines:

@@ -27,7 +27,7 @@ PcieLink::dirState(LinkDir dir) const
     return dir == LinkDir::ToDevice ? toDevice : toHost;
 }
 
-Tick
+void
 PcieLink::send(LinkDir dir, std::uint32_t payload_bytes,
                std::uint32_t useful_bytes, DeliverCallback cb)
 {
@@ -114,18 +114,10 @@ PcieLink::send(LinkDir dir, std::uint32_t payload_bytes,
         };
     }
 
-    // Completions travel to the host side of the boundary when one
-    // is configured (parallel executor); requests stay on the owning
-    // (shard) queue. The deliver tick is at least curTick() plus the
-    // one-way propagation, which is exactly the executor's lookahead
-    // — so a cross-domain schedule here always clears the window.
-    EventQueue &target =
-        (dir == LinkDir::ToHost && hostQ != nullptr)
-            ? *hostQ : eventQueue();
-    const Tick deliver = done + cfg.propagation + deliver_extra;
-    target.scheduleLambda(deliver, std::move(cb),
-                          EventPriority::DeviceResponse, deliverName);
-    return deliver;
+    eventQueue().scheduleLambda(done + cfg.propagation + deliver_extra,
+                                std::move(cb),
+                                EventPriority::DeviceResponse,
+                                deliverName);
 }
 
 std::uint64_t

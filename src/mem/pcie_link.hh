@@ -59,23 +59,9 @@ class PcieLink : public SimObject
      * @param useful_bytes  portion of the payload that is requested
      *                      application data (for utilization stats).
      * @param cb            runs when the TLP fully arrives.
-     * @return the tick the TLP delivers (cb's scheduled tick).
      */
-    Tick send(LinkDir dir, std::uint32_t payload_bytes,
+    void send(LinkDir dir, std::uint32_t payload_bytes,
               std::uint32_t useful_bytes, DeliverCallback cb);
-
-    /**
-     * Route ToHost deliveries to @p host_queue instead of the link's
-     * own (shard-domain) queue. The link is the shard boundary under
-     * the parallel executor: ToDevice traffic lands on the shard
-     * domain, ToHost completions land on the host domain, and each
-     * Direction's state keeps a single writer (the sending side).
-     * Unset (the default), both directions use the owning queue.
-     */
-    void setHostSideQueue(EventQueue *host_queue)
-    {
-        hostQ = host_queue;
-    }
 
     /** Wire bytes transmitted so far in @p dir (headers included). */
     std::uint64_t wireBytes(LinkDir dir) const;
@@ -124,7 +110,6 @@ class PcieLink : public SimObject
     const Direction &dirState(LinkDir dir) const;
 
     PcieLinkParams cfg;
-    EventQueue *hostQ = nullptr; //!< ToHost delivery queue override
     Direction toDevice;
     Direction toHost;
     std::uint32_t faultShard = 0;

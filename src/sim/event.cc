@@ -1,11 +1,7 @@
 #include "sim/event.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "check/invariant.hh"
 #include "common/logging.hh"
-#include "sim/parallel.hh"
 
 namespace kmu
 {
@@ -23,17 +19,6 @@ Event::~Event()
         panic("event '%s' destroyed while scheduled", eventName.c_str());
 }
 
-EventQueue::SchedulerKind
-EventQueue::defaultSchedulerKind()
-{
-    const char *env = std::getenv("KMU_EVENT_KERNEL");
-    if (env && std::strcmp(env, "heap") == 0)
-        return SchedulerKind::Heap;
-    return SchedulerKind::Ladder;
-}
-
-EventQueue::EventQueue(SchedulerKind kind) : schedKind(kind) {}
-
 EventQueue::~EventQueue()
 {
     // Disarm events still scheduled at teardown so their destructors
@@ -48,10 +33,7 @@ EventQueue::~EventQueue()
         if (entry.event->ownedByQueue)
             static_cast<LambdaEvent *>(entry.event)->dispose();
     };
-    if (schedKind == SchedulerKind::Heap)
-        heap.forEachEntry(disarm);
-    else
-        ladder.forEachEntry(disarm);
+    ladder.forEachEntry(disarm);
 }
 
 void
@@ -63,26 +45,12 @@ EventQueue::schedule(Event *event, Tick when)
                   "event '%s' scheduled in the past (%llu < %llu)",
                   event->name().c_str(), (unsigned long long)when,
                   (unsigned long long)now);
-    // Only one-shot lambdas may cross shard domains: a member Event
-    // is owned by a component on the other side, and handing the
-    // pointer through a mailbox would let two threads race on its
-    // scheduled state.
-    KMU_INVARIANT(par == nullptr || !crossDomainCall(),
-                  "cross-domain schedule of member event '%s' (only "
-                  "scheduleLambda may cross shard domains)",
-                  event->name().c_str());
     event->isScheduled = true;
     event->scheduledAt = when;
-    event->heapSeq = nextSeq;
-    event->bornTick = now;
-    if (par != nullptr)
-        event->rootStamp = tlsRoot;
+    event->entrySeq = nextSeq;
     const sched::Entry entry{when, std::int32_t(event->prio),
                              nextSeq++, event};
-    if (schedKind == SchedulerKind::Heap)
-        heap.insert(entry);
-    else
-        ladder.insert(entry);
+    ladder.insert(entry);
     liveEvents++;
     if (event->ownedByQueue)
         ownedLive++;
@@ -97,7 +65,7 @@ EventQueue::deschedule(Event *event)
                   "live event count underflow descheduling '%s'",
                   event->name().c_str());
     event->isScheduled = false;
-    cancelledSeqs.insert(event->heapSeq); // invalidates the entry
+    cancelledSeqs.insert(event->entrySeq); // invalidates the entry
     liveEvents--;
 
     // A descheduled one-shot lambda can never run; recycle its slot
@@ -125,18 +93,13 @@ EventQueue::deschedule(Event *event)
 void
 EventQueue::compact()
 {
-    if (schedKind == SchedulerKind::Heap)
-        heap.compact(cancelledSeqs, liveEvents);
-    else
-        ladder.compact(cancelledSeqs, liveEvents);
+    ladder.compact(cancelledSeqs);
     KMU_MODEL_CHECK(cancelledSeqs.empty(),
                     "%zu cancelled seqs match no scheduler entry",
                     cancelledSeqs.size());
-    const std::size_t kept = schedKind == SchedulerKind::Heap
-                                 ? heap.size() : ladder.size();
-    KMU_MODEL_CHECK(kept == liveEvents,
+    KMU_MODEL_CHECK(ladder.size() == liveEvents,
                     "compaction kept %zu entries for %llu live events",
-                    kept, (unsigned long long)liveEvents);
+                    ladder.size(), (unsigned long long)liveEvents);
     // Swap in a fresh set: clear() keeps the grown bucket array.
     sched::CancelSet().swap(cancelledSeqs);
 }
@@ -175,31 +138,19 @@ EventQueue::releaseLambda(LambdaEvent *ev)
     freeLambdas = ev;
 }
 
-bool
-EventQueue::peek(sched::Entry &out)
-{
-    return schedKind == SchedulerKind::Heap
-               ? heap.peek(out, cancelledSeqs)
-               : ladder.peek(out, cancelledSeqs);
-}
-
 void
 EventQueue::servicePeeked(const sched::Entry &entry)
 {
     Event *ev = entry.event;
 
     // Every scheduler entry is exactly one of: live (its event
-    // scheduled, heapSeq matching) or cancelled (seq parked in
+    // scheduled, entrySeq matching) or cancelled (seq parked in
     // cancelledSeqs).
-#if !defined(KMU_NO_MODEL_CHECKS)
-    const std::size_t stored = schedKind == SchedulerKind::Heap
-                                   ? heap.size() : ladder.size();
-    KMU_MODEL_CHECK(stored == liveEvents + cancelledSeqs.size(),
+    KMU_MODEL_CHECK(ladder.size() == liveEvents + cancelledSeqs.size(),
                     "scheduler holds %zu entries but %llu live + %zu "
-                    "cancelled events are booked", stored,
+                    "cancelled events are booked", ladder.size(),
                     (unsigned long long)liveEvents,
                     cancelledSeqs.size());
-#endif
 
     KMU_INVARIANT(entry.when >= now,
                   "event queue time went backwards (%llu < %llu)",
@@ -210,24 +161,11 @@ EventQueue::servicePeeked(const sched::Entry &entry)
                     "%llu", ev->name().c_str(),
                     (unsigned long long)entry.when,
                     (unsigned long long)ev->scheduledAt);
-    if (schedKind == SchedulerKind::Heap)
-        heap.popFront();
-    else
-        ladder.popFront();
+    ladder.popFront();
     now = entry.when;
     ev->isScheduled = false;
     liveEvents--;
     servicedCount++;
-
-    // Publish the executing-event context so schedule calls this
-    // event makes into sibling domains are recognised as crossings
-    // and inherit its provenance stamps. Unbound queues skip this —
-    // the serial hot path pays one predictable branch.
-    if (par != nullptr) {
-        tlsServicing = this;
-        tlsRoot = ev->rootStamp;
-        tlsBorn = ev->bornTick;
-    }
 
     // Tag dispatch: the two hot event shapes (one-shot lambdas and
     // component CallbackEvents) are invoked directly; everything else
@@ -275,72 +213,6 @@ EventQueue::run(Tick limit)
         servicePeeked(entry);
     }
     return now;
-}
-
-void
-EventQueue::bindDomain(ParallelExecutor *exec, std::uint32_t id)
-{
-    par = exec;
-    domain = id;
-}
-
-Tick
-EventQueue::contextNow() const
-{
-    if (par == nullptr)
-        return now;
-    const EventQueue *cur = tlsServicing;
-    return (cur != nullptr && cur != this && cur->par == par)
-               ? cur->now : now;
-}
-
-bool
-EventQueue::nextEventTick(Tick &out)
-{
-    sched::Entry entry;
-    if (!peek(entry))
-        return false;
-    out = entry.when;
-    return true;
-}
-
-void
-EventQueue::crossSchedule(Tick when, std::int32_t prio,
-                          std::string_view name, sim_detail::CrossFn fn)
-{
-    par->pushCross(*tlsServicing, *this, when, prio, name,
-                   std::move(fn));
-}
-
-void
-EventQueue::scheduleCrossEntry(Tick when, std::int32_t prio,
-                               std::string_view name,
-                               sim_detail::CrossFn fn,
-                               std::uint64_t root, Tick born)
-{
-    // Runs on the coordinator at an epoch barrier, where TLS may
-    // still carry the last serviced event's context; suppress it so
-    // the schedule below is unconditionally local, then restore the
-    // entry's own provenance recorded at push time.
-    EventQueue *saved = tlsServicing;
-    tlsServicing = nullptr;
-    LambdaEvent *ev = acquireLambda();
-    ev->eventName.assign(name.data(), name.size());
-    ev->prio = EventPriority(prio);
-    ev->bind([f = std::move(fn)]() mutable { f(); });
-    ev->ownedByQueue = true;
-    schedule(ev, when);
-    ev->rootStamp = root;
-    ev->bornTick = born;
-    tlsServicing = saved;
-}
-
-void
-EventQueue::clearServicingTls()
-{
-    tlsServicing = nullptr;
-    tlsRoot = 0;
-    tlsBorn = 0;
 }
 
 } // namespace kmu

@@ -14,9 +14,7 @@
  * inline without a std::function, and dispatch goes through a kind
  * tag instead of a virtual call. Pending events sit in a ladder
  * (hierarchical calendar) scheduler — see sim/scheduler.hh for the
- * structure and the service-order proof; KMU_EVENT_KERNEL=heap
- * selects the original binary-heap scheduler, which stays
- * observationally identical.
+ * structure and the service-order proof.
  */
 
 #ifndef KMU_SIM_EVENT_HH
@@ -40,58 +38,6 @@ namespace kmu
 {
 
 class EventQueue;
-class ParallelExecutor;
-
-namespace sim_detail
-{
-
-/**
- * Move-only type-erased callable carrying a cross-domain event
- * through a parallel-executor mailbox. std::function requires a
- * copyable target, but schedule callables routinely capture moved-in
- * completions; one small heap node per crossing is acceptable off the
- * domain-local fast path (crossings are bounded by link latency, not
- * event rate).
- */
-class CrossFn
-{
-  public:
-    CrossFn() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, CrossFn>>>
-    CrossFn(F &&fn)
-        : impl(std::make_unique<Model<std::decay_t<F>>>(
-              std::forward<F>(fn)))
-    {
-    }
-
-    CrossFn(CrossFn &&) = default;
-    CrossFn &operator=(CrossFn &&) = default;
-
-    explicit operator bool() const { return impl != nullptr; }
-    void operator()() { impl->call(); }
-
-  private:
-    struct Concept
-    {
-        virtual ~Concept() = default;
-        virtual void call() = 0;
-    };
-
-    template <typename F>
-    struct Model final : Concept
-    {
-        explicit Model(F f) : fn(std::move(f)) {}
-        void call() override { fn(); }
-        F fn;
-    };
-
-    std::unique_ptr<Concept> impl;
-};
-
-} // namespace sim_detail
 
 /** Scheduling priority; lower values service first within a tick. */
 enum class EventPriority : std::int32_t
@@ -151,16 +97,7 @@ class Event
     bool isScheduled = false;
     bool ownedByQueue = false; //!< queue recycles it after it runs
     Tick scheduledAt = 0;
-    std::uint64_t heapSeq = 0; //!< seq of the live scheduler entry
-
-    /** @{ Parallel-executor provenance, maintained only when the
-     *  queue is domain-bound: the tick this event was scheduled at
-     *  and the crossing-chain root id it inherits. Together they let
-     *  mailbox absorption reproduce the serial insertion order of
-     *  cross-domain descendants (see sim/parallel.hh). */
-    Tick bornTick = 0;
-    std::uint64_t rootStamp = 0;
-    /** @} */
+    std::uint64_t entrySeq = 0; //!< seq of the live scheduler entry
 
   protected:
     /** Subclass constructors claim their dispatch tag here. */
@@ -279,20 +216,8 @@ class LambdaEvent final : public Event
 class EventQueue
 {
   public:
-    /** Pending-event scheduler implementations (sim/scheduler.hh). */
-    enum class SchedulerKind
-    {
-        Ladder, //!< hierarchical calendar queue (default)
-        Heap    //!< reference binary heap
-    };
-
-    /** Process default: KMU_EVENT_KERNEL=heap|ladder, else Ladder. */
-    static SchedulerKind defaultSchedulerKind();
-
-    explicit EventQueue(SchedulerKind kind = defaultSchedulerKind());
+    EventQueue() = default;
     ~EventQueue();
-
-    SchedulerKind schedulerKind() const { return schedKind; }
 
     /** Current simulated time. */
     Tick curTick() const { return now; }
@@ -319,15 +244,6 @@ class EventQueue
                    EventPriority prio = EventPriority::Default,
                    std::string_view name = "lambda")
     {
-        // Calls made while another domain's event executes are
-        // cross-domain: hand them to the executor's mailboxes so
-        // they are absorbed in serial-identical order. Unbound
-        // queues never pay more than the null check.
-        if (par != nullptr && crossDomainCall()) {
-            crossSchedule(when, std::int32_t(prio), name,
-                          sim_detail::CrossFn(std::forward<F>(fn)));
-            return;
-        }
         LambdaEvent *ev = acquireLambda();
         ev->eventName.assign(name.data(), name.size());
         ev->prio = prio;
@@ -362,30 +278,6 @@ class EventQueue
      *  size(): a descheduled lambda is recycled immediately). */
     std::uint64_t ownedPending() const { return ownedLive; }
 
-    /**
-     * @{ Parallel-executor domain binding (sim/parallel.hh). A bound
-     * queue routes scheduleLambda calls made while another domain's
-     * event executes through the executor's mailboxes; everything
-     * else behaves exactly as serial.
-     */
-    void bindDomain(ParallelExecutor *exec, std::uint32_t id);
-    ParallelExecutor *parallelExecutor() const { return par; }
-    std::uint32_t domainId() const { return domain; }
-    /** @} */
-
-    /**
-     * The clock of whichever domain's event is executing on the
-     * calling thread — the caller's notion of "now". On an unbound
-     * queue this is curTick(); on a bound queue a caller servicing
-     * another domain (e.g. a host event poking a shard-bound link)
-     * reads its own domain's tick, exactly as the serial kernel
-     * would. SimObject::curTick() routes through this.
-     */
-    Tick contextNow() const;
-
-    /** Tick of the earliest pending event, if any. */
-    bool nextEventTick(Tick &out);
-
   private:
     /**
      * Drop every cancelled entry from the scheduler. Lazy
@@ -408,46 +300,7 @@ class EventQueue
     /** Service the entry a successful peek() exposed. */
     void servicePeeked(const sched::Entry &entry);
 
-    bool peek(sched::Entry &out);
-
-    /** @{ Cross-domain plumbing (parallel executor only). */
-    friend class ParallelExecutor;
-
-    /** True when the event executing on this thread belongs to a
-     *  different domain of the same executor. */
-    bool
-    crossDomainCall() const
-    {
-        const EventQueue *cur = tlsServicing;
-        return cur != nullptr && cur != this && cur->par == par;
-    }
-
-    /** Route a schedule call into the executor mailbox (event.cc). */
-    void crossSchedule(Tick when, std::int32_t prio,
-                       std::string_view name, sim_detail::CrossFn fn);
-
-    /** Absorb a mailbox entry: schedule locally, then restore the
-     *  recorded provenance stamps (coordinator thread only). */
-    void scheduleCrossEntry(Tick when, std::int32_t prio,
-                            std::string_view name,
-                            sim_detail::CrossFn fn,
-                            std::uint64_t root, Tick born);
-
-    /** Forget the executing-event context on this thread (executor
-     *  calls this around runs so no dangling queue pointer survives
-     *  into later, unrelated systems). */
-    static void clearServicingTls();
-
-    /** Executing-event context for the calling thread: queue whose
-     *  event is running, plus that event's provenance stamps. Only
-     *  maintained by domain-bound queues. */
-    inline static thread_local EventQueue *tlsServicing = nullptr;
-    inline static thread_local std::uint64_t tlsRoot = 0;
-    inline static thread_local Tick tlsBorn = 0;
-
-    ParallelExecutor *par = nullptr;
-    std::uint32_t domain = 0;
-    /** @} */
+    bool peek(sched::Entry &out) { return ladder.peek(out, cancelledSeqs); }
 
     Tick now = 0;
     std::uint64_t nextSeq = 0;
@@ -455,9 +308,7 @@ class EventQueue
     std::uint64_t servicedCount = 0;
     std::uint64_t ownedLive = 0;
 
-    SchedulerKind schedKind;
     sched::LadderScheduler ladder;
-    sched::HeapScheduler heap;
 
     /** Seqs of descheduled scheduler entries not yet met. */
     sched::CancelSet cancelledSeqs;

@@ -1,34 +1,28 @@
 /**
  * @file
- * Pending-event schedulers for the discrete-event kernel.
+ * Pending-event scheduler for the discrete-event kernel.
  *
  * The EventQueue's service order is the total key (when, priority,
  * insertion sequence) — seq is unique, so the order is a strict total
  * order and ANY structure that yields the minimum remaining key
- * services events in exactly the same sequence. That is the whole
- * correctness argument for swapping the scheduler: both
- * implementations here are observationally identical, and the golden
- * / determinism gates hold the proof.
+ * services events in exactly the same sequence. The event-queue
+ * stress suite holds that spec as a naive reference queue and checks
+ * this scheduler against it op by op; the golden / determinism gates
+ * hold it end to end.
  *
- *  - HeapScheduler: the original std::priority_queue binary heap.
- *    O(log n) per operation with pointer-heavy 32-byte entries; kept
- *    as the reference kernel for the stress tests and the events/sec
- *    microbench baseline (KMU_EVENT_KERNEL=heap selects it).
- *
- *  - LadderScheduler: a three-rung hierarchical calendar ("ladder")
- *    tuned for the near-monotone tick distribution the core models
- *    produce. Insertion is O(1): an event lands in a bucket of the
- *    finest rung whose window covers its tick (1.024 ns buckets,
- *    then 262 ns, then 67 us; events beyond ~17 ms go to an
- *    overflow list that is re-bucketed when reached). Service pulls
- *    one finest-rung bucket at a time into a sorted "active" run;
- *    same-window insertions (the dominant schedule-at-curTick case)
- *    binary-insert into that run. Every comparison that decides
- *    order happens on the full (when, prio, seq) key inside one
- *    bucket's sort, so the service order is provably the global key
- *    order: buckets partition time, rungs cascade in time order,
- *    and no event can enter a bucket that has already been drained
- *    (EventQueue guarantees when >= now).
+ * LadderScheduler is a three-rung hierarchical calendar ("ladder")
+ * tuned for the near-monotone tick distribution the core models
+ * produce. Insertion is O(1): an event lands in a bucket of the
+ * finest rung whose window covers its tick (1.024 ns buckets, then
+ * 262 ns, then 67 us; events beyond ~17 ms go to an overflow list
+ * that is re-bucketed when reached). Service pulls one finest-rung
+ * bucket at a time into a sorted "active" run; same-window
+ * insertions (the dominant schedule-at-curTick case) binary-insert
+ * into that run. Every comparison that decides order happens on the
+ * full (when, prio, seq) key inside one bucket's sort, so the service
+ * order is provably the global key order: buckets partition time,
+ * rungs cascade in time order, and no event can enter a bucket that
+ * has already been drained (EventQueue guarantees when >= now).
  *
  * Cancellation stays lazy (seq parked in a set, entries dropped when
  * met); compact() walks the structure to drop them eagerly when the
@@ -40,10 +34,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
+#include "check/invariant.hh"
 #include "common/types.hh"
 
 namespace kmu
@@ -78,83 +72,6 @@ entryLess(const Entry &a, const Entry &b)
 }
 
 /**
- * The original binary-heap scheduler (reference kernel).
- */
-class HeapScheduler
-{
-  public:
-    void
-    insert(const Entry &e)
-    {
-        heap.push(e);
-    }
-
-    /**
-     * Expose the minimum remaining entry, dropping cancelled entries
-     * (their seqs are erased from @p cancels) on the way.
-     * @return false when nothing remains.
-     */
-    bool
-    peek(Entry &out, CancelSet &cancels)
-    {
-        while (!heap.empty() && cancels.erase(heap.top().seq))
-            heap.pop();
-        if (heap.empty())
-            return false;
-        out = heap.top();
-        return true;
-    }
-
-    /** Remove the entry a successful peek() just exposed. */
-    void
-    popFront()
-    {
-        heap.pop();
-    }
-
-    /** Rebuild without the entries named in @p cancels. */
-    void
-    compact(CancelSet &cancels, std::size_t expected_live)
-    {
-        std::vector<Entry> survivors;
-        survivors.reserve(expected_live);
-        while (!heap.empty()) {
-            const Entry &entry = heap.top();
-            if (!cancels.erase(entry.seq))
-                survivors.push_back(entry);
-            heap.pop();
-        }
-        heap = decltype(heap)(Compare{}, std::move(survivors));
-    }
-
-    /** Entries stored, cancelled ones included. */
-    std::size_t size() const { return heap.size(); }
-
-    /** Visit every stored entry (teardown walk; order unspecified). */
-    template <typename Fn>
-    void
-    forEachEntry(Fn fn)
-    {
-        while (!heap.empty()) {
-            fn(heap.top());
-            heap.pop();
-        }
-    }
-
-  private:
-    struct Compare
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            return entryLess(b, a); // max-heap on reversed order
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, Compare> heap;
-};
-
-/**
  * Three-rung ladder/calendar scheduler. See the file comment for the
  * structure; the invariants that make it exact are:
  *
@@ -165,11 +82,16 @@ class HeapScheduler
  *       run via sorted insert, so the run always holds every pending
  *       entry with when < frontEnd in exact key order; the run also
  *       owns the uncovered gap an overflow rebase can open between
- *       frontEnd and the coarsest rung's window start (see insert());
+ *       frontEnd and the coarsest rung's window start (see insert()),
+ *       though refill's next cascade closes it before any insert;
  *  (I3) rung windows only advance, and a rung's scan position sits
  *       at the bucket boundary `frontEnd` maps to, so an insert with
  *       when >= frontEnd always lands in a bucket that is still
  *       ahead of the scan.
+ *
+ * KMU_MODEL_CHECK holds them in code without a per-event walk: I2 in
+ * O(1) on every finest-rung pull, I2/I3 in O(rungs) after every
+ * cascade and when refill finds nothing, I1 in compact().
  */
 class LadderScheduler
 {
@@ -246,39 +168,62 @@ class LadderScheduler
         --count;
     }
 
+    /**
+     * Drop every entry named in @p cancels. The walk meets every
+     * stored entry, so it also model-checks (I1): each survivor sits
+     * where its tick says, and the survivors add up to size().
+     */
     void
-    compact(CancelSet &cancels, std::size_t /*expected_live*/)
+    compact(CancelSet &cancels)
     {
+        std::size_t walked = 0;
         auto dead = [&](const Entry &e) {
             if (cancels.erase(e.seq)) {
                 --count;
                 return true;
             }
+            ++walked;
             return false;
         };
         active.erase(std::remove_if(active.begin() +
                                         std::ptrdiff_t(head),
                                     active.end(), dead),
                      active.end());
+        bool placed = std::is_sorted(active.begin() +
+                                         std::ptrdiff_t(head),
+                                     active.end(), entryLess);
         for (Rung &r : rung) {
             for (std::size_t i = 0; i < bucketCount; ++i) {
+                // An entry in an unmarked bucket is lost to service;
+                // skipping it here shows up as a count mismatch.
                 if (!testBit(r.occ, i))
                     continue;
                 auto &vec = r.bucket[i];
                 vec.erase(std::remove_if(vec.begin(), vec.end(), dead),
                           vec.end());
+                for (const Entry &e : vec)
+                    placed = placed && e.when >= r.winStart &&
+                             (e.when - r.winStart) >> r.shift == i;
                 if (vec.empty())
                     clearBit(r.occ, i);
             }
         }
         over.erase(std::remove_if(over.begin(), over.end(), dead),
                    over.end());
+        const Tick coarse_end = bucketStart(rung[2], bucketCount);
+        for (const Entry &e : over)
+            placed = placed && e.when >= coarse_end;
+        KMU_MODEL_CHECK(walked == count,
+                        "(I1) ladder walk met %zu entries, %zu stored",
+                        walked, count);
+        KMU_MODEL_CHECK(placed,
+                        "(I1) ladder entry stored outside its window");
     }
 
     std::size_t size() const { return count; }
 
-    /** Visit every stored entry, consuming it (like HeapScheduler's
-     *  draining walk): afterwards size()==0 and nothing is stored. */
+    /** Visit every stored entry, consuming it: afterwards
+     *  size()==0 and nothing is stored. */
     template <typename Fn>
     void
     forEachEntry(Fn fn)
@@ -370,6 +315,62 @@ class LadderScheduler
         active.insert(it, e);
     }
 
+    /** Start of @p r's bucket @p idx, saturating at maxTick. */
+    static Tick
+    bucketStart(const Rung &r, std::size_t idx)
+    {
+        const Tick off = Tick(idx) << r.shift;
+        return r.winStart > maxTick - off ? maxTick : r.winStart + off;
+    }
+
+    /**
+     * Which part of (I2)/(I3) the front and rung windows break, or
+     * nullptr; @p before is frontEnd before the move. Holds wherever
+     * an insert may come next, so not between a rebase and its
+     * cascade. O(rungs): it reads the run's last entry and each
+     * rung's bitmap, never a bucket.
+     */
+    const char *
+    frontViolation(Tick before) const
+    {
+        if (frontSaturated)
+            return nullptr; // every insert joins the run
+        if (frontEnd < before)
+            return "(I2) frontEnd moved back";
+        if (head < active.size() && active.back().when >= frontEnd)
+            return "(I2) the run holds a tick at or past frontEnd";
+        // First tick that neither the run nor a finer rung covers.
+        Tick edge = frontEnd;
+        for (const Rung &r : rung) {
+            const std::size_t first = findFrom(r.occ, 0);
+            if (first < r.pos)
+                return "(I3) a rung stores a bucket behind its scan";
+            if (first < bucketCount &&
+                bucketStart(r, first + 1) <= frontEnd)
+                return "(I2) a rung stores a bucket below frontEnd";
+            // Windows tile upward from the front with no gap the run
+            // would have to own, and an insert that reaches this
+            // rung (at or past edge) lands at or past its scan.
+            if (r.winStart > edge)
+                return "(I2) a gap opens below a rung window";
+            if (bucketStart(r, r.pos) > edge)
+                return "(I3) a rung's scan is past where inserts land";
+            edge = std::max(edge, bucketStart(r, bucketCount));
+        }
+        return nullptr;
+    }
+
+    /** Model-check (I2)/(I3) after the front or a window moved. */
+    void
+    checkFront(Tick before) const
+    {
+        KMU_MODEL_CHECK(frontViolation(before) == nullptr,
+                        "ladder %s (frontEnd %llu, was %llu)",
+                        frontViolation(before),
+                        (unsigned long long)frontEnd,
+                        (unsigned long long)before);
+    }
+
     /**
      * Pull the next non-empty finest-rung bucket into the active
      * run, cascading coarser rungs / overflow as needed. Returns
@@ -403,6 +404,14 @@ class LadderScheduler
                 if (active.empty())
                     continue; // every entry was cancelled
                 std::sort(active.begin(), active.end(), entryLess);
+                // (I2) in O(1): the front advanced to the end of a
+                // bucket that held nothing at or past it.
+                KMU_MODEL_CHECK(frontSaturated ||
+                                    active.back().when < frontEnd,
+                                "ladder (I2) run holds tick %llu past "
+                                "its front %llu",
+                                (unsigned long long)active.back().when,
+                                (unsigned long long)frontEnd);
                 return true;
             }
             switch (cascade(rung[0], rung[1], cancels)) {
@@ -427,6 +436,7 @@ class LadderScheduler
             }
             if (rebaseOverflow(cancels))
                 continue;
+            checkFront(frontEnd);
             return false;
         }
     }
@@ -458,6 +468,7 @@ class LadderScheduler
         if (j >= bucketCount)
             return Spill::None;
         auto &vec = from.bucket[j];
+        const Tick before = frontEnd;
         if (vec.size() <= promoteMax) {
             active.clear();
             head = 0;
@@ -477,9 +488,15 @@ class LadderScheduler
             else
                 frontEnd = end;
             std::sort(active.begin(), active.end(), entryLess);
+            checkFront(before);
             return Spill::Promoted;
         }
-        to.winStart = from.winStart + (Tick(j) << from.shift);
+        const Tick start = from.winStart + (Tick(j) << from.shift);
+        KMU_MODEL_CHECK(start >= to.winStart,
+                        "ladder window moved back from %llu to %llu",
+                        (unsigned long long)to.winStart,
+                        (unsigned long long)start);
+        to.winStart = start;
         to.pos = 0;
         frontEnd = to.winStart;
         for (const Entry &e : vec) {
@@ -495,6 +512,7 @@ class LadderScheduler
         vec.clear();
         clearBit(from.occ, j);
         from.pos = j + 1;
+        checkFront(before);
         return Spill::Cascaded;
     }
 
@@ -525,7 +543,12 @@ class LadderScheduler
             min_when = std::min(min_when, e.when);
         const Tick span = Tick(bucketCount) << shift2;
         Rung &r = rung[2];
-        r.winStart = min_when & ~(span - 1);
+        const Tick start = min_when & ~(span - 1);
+        KMU_MODEL_CHECK(start >= r.winStart,
+                        "ladder overflow window moved back from %llu "
+                        "to %llu", (unsigned long long)r.winStart,
+                        (unsigned long long)start);
+        r.winStart = start;
         r.pos = 0;
         std::vector<Entry> keep;
         for (const Entry &e : over) {
@@ -541,7 +564,8 @@ class LadderScheduler
         over = std::move(keep);
         // The minimum survivor is in-window by construction (the
         // window starts at min_when aligned down), so the rung now
-        // holds at least one live entry.
+        // holds at least one live entry, and the cascade that
+        // follows moves the front into the new window.
         return true;
     }
 

@@ -59,12 +59,7 @@ class SimObject
 
     const std::string &name() const { return objName; }
     EventQueue &eventQueue() { return eq; }
-
-    /** The caller's clock: on a domain-bound queue this is the tick
-     *  of whichever domain's event is executing on this thread (a
-     *  host event poking a shard-bound component reads host time, as
-     *  it would in serial); otherwise simply the queue's tick. */
-    Tick curTick() const { return eq.contextNow(); }
+    Tick curTick() const { return eq.curTick(); }
     StatGroup &stats() { return statGroup; }
 
     /**

@@ -199,25 +199,6 @@ failoverShard(std::uint32_t natural, std::uint64_t routableMask,
     return natural; // unreachable: candidates > 0
 }
 
-/**
- * Conservative-parallel lookahead of a sharded topology: the minimum
- * simulated latency any event needs to cross a shard boundary. Every
- * boundary today is a PCIe link, whose one-way propagation delay
- * lower-bounds both directions (requests additionally pay wire
- * serialization, completions pay device service), so the link
- * propagation is the tightest safe epoch width for the parallel
- * executor (sim/parallel.hh). Heterogeneous per-shard links would
- * take the minimum here; the topology currently provisions identical
- * links, so the single @p link_propagation is exact. Returns 0 —
- * "no safe window, run serial" — when propagation is 0.
- */
-inline Tick
-lookaheadTicks(const TopologyConfig &topo, Tick link_propagation)
-{
-    (void)topo; // uniform links: no per-shard minimum to take yet
-    return link_propagation;
-}
-
 /** Stable short name of an interleave mode (CLI, CSV columns). */
 const char *interleaveName(Interleave mode);
 

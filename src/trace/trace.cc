@@ -310,7 +310,8 @@ TraceBuffer::readFile(const std::string &path)
     out.ticksPerSec = in.u64();
     out.recorded = in.u64();
     std::uint64_t retained = in.u64();
-    if (retained * recordWireBytes > in.remaining())
+    // Divide, never multiply: a crafted count can wrap the product.
+    if (retained > in.remaining() / recordWireBytes)
         fatal("trace file '%s' is truncated (header claims %llu "
               "records)", path.c_str(),
               static_cast<unsigned long long>(retained));
@@ -327,6 +328,10 @@ TraceBuffer::readFile(const std::string &path)
             fatal("trace file '%s': record %llu has bad kind %u",
                   path.c_str(), static_cast<unsigned long long>(i),
                   unsigned(r.kind));
+        if (std::size_t(r.phase) >= phaseCount)
+            fatal("trace file '%s': record %llu has bad phase %u",
+                  path.c_str(), static_cast<unsigned long long>(i),
+                  unsigned(r.phase));
         out.records.push_back(r);
     }
     std::uint64_t nameCount = in.u64();

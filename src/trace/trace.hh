@@ -95,6 +95,8 @@ enum class Phase : std::uint8_t
     Counter  //!< sampled value (arg carries it)
 };
 
+constexpr std::size_t phaseCount = std::size_t(Phase::Counter) + 1;
+
 /**
  * One binary trace record; 24 bytes on the wire (serialized field by
  * field, little-endian, so the file format is independent of struct

@@ -18,8 +18,7 @@ On top of the per-fixture checks this driver verifies:
   - compile-database filtering: not_in_db_trigger.cc is listed in no
     compile DB entry, so with --compile-db it must not be scanned
     (its violation must not appear);
-  - the deprecated kmu_lint.py shim still fails on a folded-rule
-    trigger with the historical exit code.
+  - an unknown rule name is a usage error (exit 2).
 
 Exit 0 when every expectation holds, 1 otherwise.
 """
@@ -71,7 +70,6 @@ def make_compile_db(fixtures_src, workdir):
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--analyzer", type=pathlib.Path, required=True)
-    ap.add_argument("--lint-shim", type=pathlib.Path, required=True)
     ap.add_argument("--fixtures", type=pathlib.Path, required=True,
                     help="the fixtures/ directory (holding src/)")
     ap.add_argument("--workdir", type=pathlib.Path, required=True)
@@ -139,17 +137,11 @@ def main(argv):
     expect("compile DB run still fails on the remaining triggers",
            rc == 1, f"rc={rc}")
 
-    # Deprecated shim: folded rule, historical exit code ----------------
-    shim_target = fixtures_src / "mem" / "raw_new_trigger.cc"
-    proc = subprocess.run(
-        [sys.executable, str(args.lint_shim), str(shim_target)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    expect("kmu_lint shim fails on a folded-rule trigger",
-           proc.returncode == 1 and "[raw-new]" in proc.stdout,
-           f"rc={proc.returncode} out={proc.stdout!r}")
+    # Usage errors -------------------------------------------------------
     rc, out, err = run_analyzer(args.analyzer,
                                 ["--rules", "no-such-rule",
-                                 shim_target])
+                                 fixtures_src / "mem" /
+                                 "raw_new_trigger.cc"])
     expect("unknown rule name is a usage error (exit 2)", rc == 2,
            f"rc={rc}")
 

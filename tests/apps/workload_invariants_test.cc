@@ -135,8 +135,11 @@ TEST(WorkloadInvariantsTest, KvUpdateIsReadBack)
     p.buckets = 1 << 6;
     KvBuilder builder(p);
     for (int i = 0; i < 50; ++i) {
-        builder.put("k" + std::to_string(i),
-                    std::string(130, 'x'));
+        // Appending, not "k" + std::to_string(i): gcc 12's -Wrestrict
+        // misfires on operator+(const char *, std::string &&).
+        std::string key = "k";
+        key += std::to_string(i);
+        builder.put(key, std::string(130, 'x'));
     }
 
     Runtime rt(builder.deviceImage(),

@@ -13,8 +13,6 @@
 
 #include "access/runtime.hh"
 #include "common/random.hh"
-#include "core/run_result_wire.hh"
-#include "core/sim_system.hh"
 #include "fault/fault_plan.hh"
 #include "health/health.hh"
 #include "topo/topology.hh"
@@ -152,92 +150,6 @@ TEST(FailoverTest, QuarantinedKeysLandOnSiblingsCacheLine)
 TEST(FailoverTest, QuarantinedKeysLandOnSiblingsPage)
 {
     outageFailsOverToSiblings(topo::Interleave::Page);
-}
-
-// ---------------------------------------------------------------
-// Failover vs the parallel shard executor (sim/parallel.hh).
-// ---------------------------------------------------------------
-
-SystemConfig
-parallelWriteMixConfig()
-{
-    SystemConfig cfg;
-    cfg.mechanism = Mechanism::Prefetch;
-    cfg.numCores = 2;
-    cfg.threadsPerCore = 8;
-    cfg.device.latency = microseconds(1);
-    cfg.topo.shards = 4;
-    cfg.topo.interleave = topo::Interleave::Page;
-    cfg.writeFraction = 0.4;
-    cfg.measure = microseconds(200);
-    return cfg;
-}
-
-TEST(FailoverParallelTest, HealthRoutingForcesSerialFallback)
-{
-    // Health-driven reroutes move a request between shard domains
-    // outside the lookahead contract (a failover re-targets a
-    // sibling's link with no minimum latency floor), so a
-    // health-enabled config must transparently refuse the parallel
-    // executor — and produce exactly the serial result — rather
-    // than run with an unsound window.
-    SystemConfig cfg = parallelWriteMixConfig();
-    cfg.health.mode = health::Mode::Full;
-
-    cfg.parallel = ParallelMode::Shards;
-    SimSystem requested(cfg);
-    EXPECT_FALSE(requested.parallelActive());
-    const auto par = serializeRunResult(requested.run());
-
-    cfg.parallel = ParallelMode::Off;
-    SimSystem serial(cfg);
-    const auto ser = serializeRunResult(serial.run());
-    EXPECT_EQ(par, ser);
-}
-
-TEST(FailoverParallelTest, ReadYourWritesAcrossDomainThreads)
-{
-    // Page interleave walks every thread's access stream across all
-    // four shard domains, so each lane's posted writes and its
-    // later reads land on different domain threads. Read-your-
-    // writes holds iff the parallel executor delivers them in the
-    // serial kernel's order — witnessed by the full RunResult
-    // (per-shard request extremes, write totals, latency, goodput)
-    // serializing byte-identically to the serial run.
-    SystemConfig cfg = parallelWriteMixConfig();
-    cfg.parallel = ParallelMode::Shards;
-    SimSystem par(cfg);
-    ASSERT_TRUE(par.parallelActive());
-    const RunResult pres = par.run();
-    EXPECT_GT(pres.writes, 0u);
-    EXPECT_GT(pres.accesses, 0u);
-    EXPECT_GT(pres.shardRequestsMin, 0u);
-
-    cfg.parallel = ParallelMode::Off;
-    SimSystem ser(cfg);
-    EXPECT_EQ(serializeRunResult(pres),
-              serializeRunResult(ser.run()));
-}
-
-TEST(FailoverParallelTest, SequentialWindowsMatchThreadedWindows)
-{
-    // The same parallel config at threads=1 (epoch machinery on the
-    // calling thread) and one-thread-per-domain must agree bit for
-    // bit: ordering may never depend on which thread serviced a
-    // domain's window.
-    SystemConfig cfg = parallelWriteMixConfig();
-    cfg.parallel = ParallelMode::Shards;
-
-    cfg.parallelThreads = 1;
-    SimSystem seq(cfg);
-    ASSERT_TRUE(seq.parallelActive());
-    const auto a = serializeRunResult(seq.run());
-
-    cfg.parallelThreads = 5;
-    SimSystem thr(cfg);
-    ASSERT_TRUE(thr.parallelActive());
-    const auto b = serializeRunResult(thr.run());
-    EXPECT_EQ(a, b);
 }
 
 } // anonymous namespace

@@ -195,6 +195,59 @@ TEST(TraceBufferTest, WraparoundSurvivesRoundtrip)
     std::remove(path.c_str());
 }
 
+/** Overwrite @p path with exactly the bytes in @p blob. */
+void
+writeRaw(const std::string &path, const std::string &blob)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(blob.data(), 1, blob.size(), f), blob.size());
+    std::fclose(f);
+}
+
+// A header whose record count times the record size wraps 64 bits
+// (0x0AAAAAAAAAAAAAAB * 24 == 8 mod 2^64) must be rejected as
+// truncated, not sized into a reserve() that throws.
+TEST(TraceFileDeathTest, WrappingRecordCountIsTruncation)
+{
+    std::string blob = "KMUTRC01";
+    blob.append(16, '\0'); // ticksPerSec, recorded
+    for (int i = 0; i < 8; ++i) // retained, little-endian
+        blob.push_back(char((0x0AAAAAAAAAAAAAABull >> (8 * i)) & 0xff));
+    blob.append(16, '\0');
+    ASSERT_EQ(blob.size(), 48u);
+    const std::string path = tempPath("wrapping_count.kmt");
+    writeRaw(path, blob);
+    EXPECT_EXIT(TraceBuffer::readFile(path),
+                ::testing::ExitedWithCode(1), "truncated");
+    std::remove(path.c_str());
+}
+
+TEST(TraceFileDeathTest, OutOfRangePhaseIsRejected)
+{
+    TraceBuffer buf(4);
+    buf.record(Kind::Doorbell, Phase::Instant, 1, 0, 0);
+    const std::string path = tempPath("bad_phase.kmt");
+    buf.writeFile(path);
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string blob;
+    char chunk[256];
+    std::size_t n;
+    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
+        blob.append(chunk, n);
+    std::fclose(f);
+    // 32-byte header, then tick(8) id(8) arg(4) kind(1) phase(1).
+    constexpr std::size_t phaseOffset = 32 + 21;
+    ASSERT_GT(blob.size(), phaseOffset);
+    ASSERT_EQ(blob[phaseOffset], char(Phase::Instant));
+    blob[phaseOffset] = char(trace::phaseCount);
+    writeRaw(path, blob);
+    EXPECT_EXIT(TraceBuffer::readFile(path),
+                ::testing::ExitedWithCode(1), "bad phase");
+    std::remove(path.c_str());
+}
+
 TEST(TraceKinds, NamesAreUniqueAndStable)
 {
     std::set<std::string> seen;

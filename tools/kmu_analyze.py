@@ -65,9 +65,6 @@ A finding is waived by a comment on its line or the line above:
 
     // kmu-analyze: allow(<rule>)
 
-The old `// kmu-lint: allow(<rule>)` spelling is honored for the
-folded rules so existing waivers keep working.
-
 Usage
 -----
     kmu_analyze.py [options] PATH...
@@ -117,7 +114,7 @@ HOSTADDR_BLESSED = ("queue/descriptor", "topo/topology")
 FLOAT_SANCTIONED = ("common/stats", "common/table")
 
 SUPPRESS_RE = re.compile(
-    r"//\s*kmu-(?:analyze|lint):\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
+    r"//\s*kmu-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 # ---------------------------------------------------------------------------
 # Lexical frontend: line-preserving comment/string stripping plus a

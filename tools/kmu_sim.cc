@@ -49,10 +49,6 @@ usage()
         "  chipq_policy=replicated|partitioned  per-shard chip-queue "
         "slice (replicated)\n"
         "  ctx_ns=N           context switch     (50)\n"
-        "  parallel=auto|off|shards  shard-domain parallel executor\n"
-        "                     (auto: follow KMU_PARALLEL)\n"
-        "  parallel_threads=N executor threads, 0=one per domain "
-        "(KMU_PARALLEL_THREADS)\n"
         "  measure_us=N       measured window    (600)\n"
         "  stats=0|1          dump component stats (0)\n"
         "  csv=0|1            machine-readable one-row CSV (0)\n"
@@ -184,18 +180,6 @@ main(int argc, char **argv)
             if (!toolargs::parseU64(value, u64))
                 badValue(key, value);
             cfg.ctxSwitchCost = nanoseconds(u64);
-        } else if (key == "parallel") {
-            if (value == "auto")
-                cfg.parallel = ParallelMode::Auto;
-            else if (value == "off")
-                cfg.parallel = ParallelMode::Off;
-            else if (value == "shards")
-                cfg.parallel = ParallelMode::Shards;
-            else
-                badValue(key, value);
-        } else if (key == "parallel_threads") {
-            if (!toolargs::parseU32(value, cfg.parallelThreads))
-                badValue(key, value);
         } else if (key == "measure_us") {
             if (!toolargs::parseU64(value, u64) || u64 == 0)
                 badValue(key, value);
@@ -269,12 +253,6 @@ main(int argc, char **argv)
         usage();
     }
 
-    // Trace sinks are single-threaded: a traced run always uses the
-    // serial executor, whatever the environment says (output is
-    // byte-identical either way, so this only affects speed).
-    if (!trace_path.empty())
-        cfg.parallel = ParallelMode::Off;
-
     SimSystem system(cfg);
 
     // The sink is live only across the traced system's run: the
@@ -326,7 +304,7 @@ main(int argc, char **argv)
             res.toDeviceWireGBs, res.chipQueuePeak,
             (unsigned long long)res.prefetchesQueued,
             (unsigned long long)res.replayMisses,
-            (unsigned long long)system.totalServiced());
+            (unsigned long long)system.eventQueue().serviced());
         if (cfg.serve.enabled()) {
             std::printf(
                 ",%llu,%llu,%llu,%llu,%.17g,%.17g,%.17g,%.17g,%.17g",
