@@ -128,9 +128,21 @@ SwQueueEngine::stalledWait()
 {
     if (drainCompletions() == 0)
         deviceBackoff();
-    pollTick++;
+    tickWatchdog();
     watchdogScan();
     healthEpochMaybe();
+}
+
+void
+SwQueueEngine::tickWatchdog()
+{
+    if (!dev.manualMode()) {
+        const std::uint64_t passes = dev.servicePasses();
+        if (passes == devicePassesSeen)
+            return;
+        devicePassesSeen = passes;
+    }
+    pollTick++;
 }
 
 std::uint32_t
@@ -410,14 +422,16 @@ SwQueueEngine::reissueRead(FiberIo &io, std::size_t slot)
         quarantineBufferIfLive(io, slot);
     }
     io.shard[slot] = shard;
-    RequestDescriptor desc = RequestDescriptor::read(
-        io.line[slot],
-        topo::taggedShard(
-            RequestDescriptor::taggedHost(
-                reinterpret_cast<std::uintptr_t>(
-                    &io.buffers[slot][0]),
-                io.gen[slot]),
-            shard));
+    const RequestDescriptor desc =
+        RequestDescriptor::read(
+            io.line[slot],
+            topo::taggedShard(
+                RequestDescriptor::taggedHost(
+                    reinterpret_cast<std::uintptr_t>(
+                        &io.buffers[slot][0]),
+                    io.gen[slot]),
+                shard))
+            .asReissue();
     // Push the deadline whether or not the submit lands: a full ring
     // resolves by draining, and the watchdog will come back.
     io.deadlineAt[slot] =
@@ -454,14 +468,16 @@ SwQueueEngine::reissueWrite(std::size_t slot)
         shardLive[shard]++;
     }
     ws.shard = shard;
-    RequestDescriptor desc = RequestDescriptor::write(
-        ws.line,
-        topo::taggedShard(
-            RequestDescriptor::taggedHost(
-                reinterpret_cast<std::uintptr_t>(
-                    &staging[slot]->line[0]),
-                ws.gen),
-            shard));
+    const RequestDescriptor desc =
+        RequestDescriptor::write(
+            ws.line,
+            topo::taggedShard(
+                RequestDescriptor::taggedHost(
+                    reinterpret_cast<std::uintptr_t>(
+                        &staging[slot]->line[0]),
+                    ws.gen),
+                shard))
+            .asReissue();
     ws.deadlineAt = pollTick + backoff.deadlinePolls(ws.attempts + 1);
     SwQueuePair &qp = *pairs[shard];
     RoleGuard host(qp.hostRole);
@@ -698,7 +714,7 @@ bool
 SwQueueEngine::pollCompletions()
 {
     polls++;
-    pollTick++;
+    tickWatchdog();
     if (inFlight == 0)
         return false; // true deadlock: nothing will ever complete
 

@@ -97,10 +97,11 @@ class SwQueueEngine : public AccessEngine
     std::uint64_t writeStalls() const { return stagingStalls; }
     /** @} */
 
-    /** Watchdog clock: poll passes since construction. In
-     *  manual-pump (deterministic-device) mode this is a logical
-     *  clock, so deltas of it are a bit-reproducible latency unit
-     *  for benches. */
+    /** Watchdog clock: poll passes since construction (with a
+     *  threaded device, only passes during which the device thread
+     *  also ran). In manual-pump (deterministic-device) mode this is
+     *  a logical clock, so deltas of it are a bit-reproducible
+     *  latency unit for benches. */
     std::uint64_t pollTicks() const { return pollTick; }
 
   private:
@@ -213,6 +214,16 @@ class SwQueueEngine : public AccessEngine
      *  drain, back off, and keep the watchdog clock moving so lost
      *  completions cannot stall the loop forever. */
     void stalledWait();
+
+    /**
+     * Advance the watchdog clock by one poll tick. With a threaded
+     * device the tick only counts if the service thread ran a pass
+     * since the last one: a host spinning while the OS keeps the
+     * device thread descheduled has no evidence that a request was
+     * lost, and re-issuing there only duplicates work and, past the
+     * retry budget, panics. Manual mode ticks on every poll.
+     */
+    void tickWatchdog();
 
     /** Re-issue one read slot with a fresh generation tag. */
     void reissueRead(FiberIo &io, std::size_t slot);
@@ -336,6 +347,7 @@ class SwQueueEngine : public AccessEngine
     std::uint64_t writeSeq = 0; //!< program-order write stamp source
     std::uint64_t inFlight = 0; //!< logical ops awaiting completion
     std::uint64_t pollTick = 0; //!< watchdog clock: poll passes
+    std::uint64_t devicePassesSeen = 0; //!< servicePasses() at last tick
     std::uint64_t doorbells = 0;
     std::uint64_t reaped = 0;
     std::uint64_t polls = 0;

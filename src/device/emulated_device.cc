@@ -114,6 +114,7 @@ EmulatedDevice::pump()
     const auto now = Clock::now();
     for (auto &pair : pairs)
         busy |= servicePair(*pair, now);
+    passes.fetch_add(1, std::memory_order_relaxed);
     return busy;
 }
 
@@ -131,6 +132,7 @@ EmulatedDevice::serviceLoop()
             busy |= servicePair(*pair, now);
             draining |= !pair->inFlight.empty();
         }
+        passes.fetch_add(1, std::memory_order_relaxed);
 
         if (stopping && !draining)
             return;
@@ -210,9 +212,13 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
                                 fault::FaultSite::ReplayEvictionStorm,
                                 std::max<std::uint64_t>(n, 1))));
                     }
-                    const auto result = pair.replayCheck->lookup(
-                        lineAlign(desc.deviceAddr));
-                    if (result == ReplayWindow::Result::Miss)
+                    // A watchdog re-issue repeats an access whose
+                    // first attempt was already checked; it neither
+                    // consumes the recording nor counts as spurious.
+                    if (!desc.isReissue() &&
+                        pair.replayCheck->lookup(
+                            lineAlign(desc.deviceAddr)) ==
+                            ReplayWindow::Result::Miss)
                         spurious.fetch_add(1, std::memory_order_relaxed);
                 }
                 // Brownout: the sick shard still serves, but every

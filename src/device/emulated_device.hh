@@ -122,6 +122,17 @@ class EmulatedDevice
     std::uint64_t replayMisses() const { return spurious.load(); }
     /** @} */
 
+    /**
+     * Service passes run so far (service thread or pump()). A host
+     * watchdog compares successive reads to tell a device thread the
+     * OS has descheduled from one that runs but never answers.
+     */
+    std::uint64_t
+    servicePasses() const
+    {
+        return passes.load(std::memory_order_relaxed);
+    }
+
   private:
     using Clock = std::chrono::steady_clock;
 
@@ -179,6 +190,8 @@ class EmulatedDevice
         KMU_ATOMIC_ROLE(device_writes, observers_read){0};
     std::atomic<std::uint64_t> spurious
         KMU_ATOMIC_ROLE(device_writes, observers_read){0};
+    std::atomic<std::uint64_t> passes
+        KMU_ATOMIC_ROLE(device_writes, host_reads){0};
     std::uint64_t step = 0; //!< manual-mode virtual clock
 };
 

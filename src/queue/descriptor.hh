@@ -32,7 +32,8 @@ namespace kmu
  */
 struct RequestDescriptor
 {
-    /** Device line address (bit 0: 0 = read, 1 = write). */
+    /** Device line address (bit 0: 0 = read, 1 = write; bit 1:
+     *  watchdog re-issue). */
     Addr deviceAddr = 0;
 
     /** Read: host buffer the device writes the 64-byte response
@@ -57,8 +58,29 @@ struct RequestDescriptor
     /** True for write descriptors. */
     bool isWrite() const { return (deviceAddr & 1) != 0; }
 
-    /** Device line address with the opcode bit stripped. */
-    Addr lineAddr() const { return deviceAddr & ~Addr(1); }
+    /** deviceAddr flag bit of a watchdog re-issue (below the line
+     *  offset, like the opcode bit). */
+    static constexpr Addr reissueBit = 2;
+
+    /**
+     * The same request, marked as a host watchdog re-issue. The
+     * device serves it like any other, but its replay check skips
+     * it: the first attempt already stood for this access in the
+     * application's request stream, and a transport retry must not
+     * be counted against the recording.
+     */
+    RequestDescriptor
+    asReissue() const
+    {
+        return RequestDescriptor{deviceAddr | reissueBit, hostAddr};
+    }
+
+    /** True for watchdog re-issues. */
+    bool isReissue() const { return (deviceAddr & reissueBit) != 0; }
+
+    /** Device line address with the opcode and re-issue bits
+     *  stripped. */
+    Addr lineAddr() const { return deviceAddr & ~(Addr(1) | reissueBit); }
 
     /** @{
      * Generation tagging for retried requests.

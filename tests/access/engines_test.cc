@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "access/on_demand_engine.hh"
 #include "access/prefetch_engine.hh"
@@ -161,6 +163,36 @@ TEST(SwQueueEngineTest, DoorbellOnlyWhenRequested)
     // than submissions are needed.
     EXPECT_LT(engine.doorbellsRung(), 8u * 50 / 2);
     EXPECT_GE(engine.doorbellsRung(), 1u);
+}
+
+// A device thread the OS keeps off the CPU is slow, not lossy: the
+// watchdog must not re-issue (let alone exhaust the retry budget)
+// while the service thread has not run. Here the device starts only
+// after the host has spun on its completion queue for 100 ms, which
+// is hundreds of watchdog deadlines of idle polling.
+TEST(SwQueueEngineTest, StarvedDeviceThreadIsNotReissued)
+{
+    auto image = patternImage(64 * 1024);
+    EmulatedDevice dev(image, {.latency = std::chrono::nanoseconds(200),
+                               .queueDepth = 64});
+    const std::size_t pair = dev.addQueuePair();
+    Scheduler sched;
+    SwQueueEngine engine(sched, dev, pair);
+    std::uint64_t value = 0;
+    sched.spawn([&]() { value = engine.read64(64 * 7); });
+    std::thread late([&dev]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        dev.start();
+    });
+    sched.run();
+    late.join();
+    dev.stop();
+
+    EXPECT_EQ(value, mix64(64 * 7));
+    EXPECT_GT(engine.pollCalls(), 0u);
+    EXPECT_EQ(engine.recovery().timeouts, 0u);
+    EXPECT_EQ(engine.recovery().retries, 0u);
+    EXPECT_EQ(dev.requestsServiced(), 1u);
 }
 
 TEST(OnDemandEngineTest, BoundsChecked)

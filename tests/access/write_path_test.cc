@@ -177,6 +177,13 @@ TEST(WritePathTest, DescriptorOpcodeRoundTrip)
     EXPECT_TRUE(wr.isWrite());
     EXPECT_EQ(wr.lineAddr(), 0x1000u);
     EXPECT_EQ(wr.hostAddr, 0xbeefu);
+
+    const auto again = wr.asReissue();
+    EXPECT_TRUE(again.isReissue());
+    EXPECT_FALSE(wr.isReissue());
+    EXPECT_TRUE(again.isWrite());
+    EXPECT_EQ(again.lineAddr(), 0x1000u);
+    EXPECT_EQ(again.hostAddr, 0xbeefu);
 }
 
 } // anonymous namespace

@@ -32,13 +32,15 @@ patternImage(std::size_t bytes)
 /** Submit, doorbell if requested, and spin until the completion. */
 void
 readLineBlocking(EmulatedDevice &dev, std::size_t pair, Addr device_addr,
-                 void *host_buf)
+                 void *host_buf, bool reissue = false)
 {
     SwQueuePair &qp = dev.queuePair(pair);
     RoleGuard host(qp.hostRole); // test thread = host side
     RequestDescriptor desc;
     desc.deviceAddr = device_addr;
     desc.hostAddr = reinterpret_cast<std::uintptr_t>(host_buf);
+    if (reissue)
+        desc = desc.asReissue();
     ASSERT_TRUE(qp.submit(desc));
     if (qp.consumeDoorbellRequest())
         dev.doorbell(pair);
@@ -157,6 +159,33 @@ TEST(EmulatedDeviceTest, ReplayCheckCountsSpurious)
     dev.stop();
 
     EXPECT_EQ(dev.replayMisses(), 1u);
+}
+
+// Watchdog re-issues are transport retries of an access already
+// checked: they must neither miss nor consume the recording, while
+// a plain repeat of a consumed address still counts as spurious.
+TEST(EmulatedDeviceTest, ReplayCheckSkipsReissues)
+{
+    auto image = patternImage(64 * 64);
+    EmulatedDevice dev(image, {.latency = std::chrono::nanoseconds(100),
+                               .queueDepth = 32});
+    const std::size_t pair = dev.addQueuePair();
+    dev.enableReplayCheck(pair, {0, 64, 128}, 8);
+    dev.start();
+
+    alignas(64) std::uint8_t buf[64];
+    readLineBlocking(dev, pair, 0, buf);
+    readLineBlocking(dev, pair, 0, buf, /*reissue=*/true);
+    readLineBlocking(dev, pair, 64, buf);
+    readLineBlocking(dev, pair, 64, buf, /*reissue=*/true);
+    readLineBlocking(dev, pair, 128, buf);
+    EXPECT_EQ(dev.replayMisses(), 0u);
+    EXPECT_EQ(std::memcmp(buf, image.data() + 128, 64), 0);
+
+    readLineBlocking(dev, pair, 0, buf); // plain repeat, not recorded
+    dev.stop();
+    EXPECT_EQ(dev.replayMisses(), 1u);
+    EXPECT_EQ(dev.requestsServiced(), 6u);
 }
 
 TEST(EmulatedDeviceTest, OutOfRangeReadPanics)
