@@ -259,13 +259,24 @@ class Driver
     static constexpr Tick deviceLatency = 1000 * tickPerNs;
     static constexpr Tick guardTimeout = 100'000 * tickPerNs;
 
+    /** The name a schedule passes: rebuilt per call under the legacy
+     *  idiom, the cached member (viewed, never copied) otherwise. */
+    decltype(auto)
+    nameOf(const std::string (&cached)[cores], unsigned c,
+           const char *suffix) const
+    {
+        if constexpr (legacyNames)
+            return coreName[c] + suffix;
+        else
+            return (cached[c]);
+    }
+
     void
     schedulePoll(unsigned c, Tick when)
     {
         q.scheduleLambda(
             when, [this, c] { pollTick(c); },
-            EventPriority::CpuTick,
-            legacyNames ? coreName[c] + ".wake" : wakeName[c]);
+            EventPriority::CpuTick, nameOf(wakeName, c, ".wake"));
     }
 
     void
@@ -294,12 +305,10 @@ class Driver
                 q.scheduleLambda(
                     q.curTick(), [this, c] { ++stepsDone[c]; },
                     EventPriority::CpuTick,
-                    legacyNames ? coreName[c] + ".step"
-                                : stepName[c]);
+                    nameOf(stepName, c, ".step"));
             },
             EventPriority::DeviceResponse,
-            legacyNames ? coreName[c] + ".deliver"
-                        : deliverName[c]);
+            nameOf(deliverName, c, ".deliver"));
     }
 
     Queue &q;

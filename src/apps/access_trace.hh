@@ -60,7 +60,9 @@ class AccessTrace
     /** Save as one batch size per line (plain text). */
     void save(const std::string &path) const;
 
-    /** Load a trace saved by save(). */
+    /** Load a trace saved by save(). Every line must hold one batch
+     *  size in [1, AccessEngine::maxBatch]; a malformed line or an
+     *  empty file exits via fatal() with "<path>:<line>: ...". */
     static AccessTrace load(const std::string &path);
 
   private:

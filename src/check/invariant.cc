@@ -11,7 +11,6 @@ namespace
 // The model is single-threaded by construction (one EventQueue per
 // SimSystem, driven from one OS thread), so plain globals suffice.
 std::uint64_t violations = 0;
-bool modelChecks = true;
 ViolationTrap *activeTrap = nullptr;
 
 } // anonymous namespace
@@ -36,18 +35,6 @@ std::uint64_t
 violationCount()
 {
     return violations;
-}
-
-bool
-modelChecksEnabled()
-{
-    return modelChecks;
-}
-
-void
-setModelChecks(bool enabled)
-{
-    modelChecks = enabled;
 }
 
 ViolationTrap::ViolationTrap()

@@ -58,9 +58,26 @@ void reportViolation(const char *expr, const char *file, int line,
 /** Total violations observed process-wide (trapped ones included). */
 std::uint64_t violationCount();
 
-/** Runtime switch for KMU_MODEL_CHECK (default on). */
-bool modelChecksEnabled();
-void setModelChecks(bool enabled);
+namespace detail
+{
+// The model is single-threaded by construction (one EventQueue per
+// SimSystem, driven from one OS thread), so a plain global suffices.
+inline bool modelChecks = true;
+} // namespace detail
+
+/** Runtime switch for KMU_MODEL_CHECK (default on). An inline flag
+ *  read: every model check on the hot path consults it. */
+inline bool
+modelChecksEnabled()
+{
+    return detail::modelChecks;
+}
+
+inline void
+setModelChecks(bool enabled)
+{
+    detail::modelChecks = enabled;
+}
 
 /**
  * RAII scope that converts invariant violations into exceptions.

@@ -1,6 +1,7 @@
 /**
  * @file
- * Sanitizer shim: fiber-switch annotations for ASan and TSan.
+ * Sanitizer shim: fiber-switch annotations for ASan and TSan, and
+ * ASan poisoning of recycled arena memory.
  *
  * The hand-rolled stack switch in ult/context_switch.S is invisible
  * to the sanitizer runtimes: ASan tracks one stack region per thread
@@ -124,6 +125,35 @@ kmuSanUnpoisonStack(const void *bottom, std::size_t size)
     __asan_unpoison_memory_region(bottom, size);
 #else
     (void)bottom;
+    (void)size;
+#endif
+}
+
+/**
+ * Mark [addr, addr + size) unaddressable for ASan, so any later read
+ * or write there is reported as a use-after-poison. Used for memory
+ * that stays allocated but is logically dead, such as a recycled
+ * event-arena slot on its freelist.
+ */
+inline void
+kmuSanPoisonRegion(const void *addr, std::size_t size)
+{
+#if KMU_ASAN_ENABLED
+    __asan_poison_memory_region(addr, size);
+#else
+    (void)addr;
+    (void)size;
+#endif
+}
+
+/** Make a region poisoned by kmuSanPoisonRegion() addressable again. */
+inline void
+kmuSanUnpoisonRegion(const void *addr, std::size_t size)
+{
+#if KMU_ASAN_ENABLED
+    __asan_unpoison_memory_region(addr, size);
+#else
+    (void)addr;
     (void)size;
 #endif
 }

@@ -29,9 +29,10 @@ class CoreBase : public SimObject
   public:
     /**
      * Issue one cache-line read beyond the LFB (chip queue, link,
-     * device or DRAM); the callback runs when the line is on-chip.
+     * device or DRAM); the path calls lineArrived(line) when the
+     * line is on-chip.
      */
-    using IssueLine = std::function<void(Addr, std::function<void()>)>;
+    using IssueLine = std::function<void(Addr)>;
 
     /** Emit one posted line write toward the backing store. */
     using PostWrite = std::function<void(Addr)>;
@@ -72,6 +73,18 @@ class CoreBase : public SimObject
 
     /** This core's L1 tag model (consulted when cfg.l1Enabled). */
     L1Cache &l1() { return l1Cache; }
+
+    /**
+     * A line issued through IssueLine is on-chip: install it in the
+     * L1 (when modelled) and fill its LFB entry, which wakes the
+     * entry's waiters. The only fill action either core registers.
+     */
+    void
+    lineArrived(Addr line)
+    {
+        l1Install(line);
+        lineFillBuffers.fill(line);
+    }
 
   protected:
     /** Model the core being busy for @p delay, then continue. The

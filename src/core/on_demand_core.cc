@@ -13,6 +13,10 @@ OnDemandCore::OnDemandCore(std::string name, EventQueue &queue, CoreId id,
     ctxs.resize(cfg.smtContexts);
     robShare = std::max<std::uint64_t>(1,
                                        cfg.robSize / cfg.smtContexts);
+    const std::uint64_t smallest =
+        cfg.iterationInstrs(IterationPlan{1, 0});
+    for (Context &ctx : ctxs)
+        ctx.window.init(std::max<std::uint64_t>(1, robShare / smallest));
 }
 
 std::uint32_t
@@ -54,6 +58,8 @@ OnDemandCore::admitLoop(std::uint32_t ctx_id)
     // window always admits (the machine makes forward progress even
     // when one iteration exceeds the share).
     const IterationPlan plan = cfg.planFor(id(), ctx_id, ctx.nextIter);
+    kmuAssert(plan.batch >= 1 && plan.batch <= AccessEngine::maxBatch,
+              "bad plan batch %u", plan.batch);
     const std::uint64_t instrs = cfg.iterationInstrs(plan);
     if (!ctx.window.empty() &&
         ctx.instrsInWindow + instrs > robShare) {
@@ -114,10 +120,7 @@ OnDemandCore::issueSlot(std::uint32_t ctx_id, std::uint64_t iter,
 
     switch (result) {
       case Lfb::AllocResult::NewEntry:
-        issueLine(line, [this, line]() {
-            l1Install(line);
-            lineFillBuffers.fill(line);
-        });
+        issueLine(line);
         issueSlot(ctx_id, iter, slot + 1);
         break;
       case Lfb::AllocResult::Merged:

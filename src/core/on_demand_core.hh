@@ -31,7 +31,6 @@
 #ifndef KMU_CORE_ON_DEMAND_CORE_HH
 #define KMU_CORE_ON_DEMAND_CORE_HH
 
-#include <deque>
 #include <vector>
 
 #include "core/core_base.hh"
@@ -71,13 +70,61 @@ class OnDemandCore : public CoreBase
         bool ready = false;
     };
 
+    /**
+     * The in-flight iterations of one context, oldest first: a ring
+     * sized once. Admission keeps a non-empty window within the ROB
+     * share, so it never holds more than robShare over the smallest
+     * iteration (one read, no work) — or one oversized iteration.
+     */
+    class Window
+    {
+      public:
+        void init(std::size_t capacity) { recs.resize(capacity); }
+
+        bool empty() const { return count == 0; }
+        std::size_t size() const { return count; }
+
+        IterRec &front() { return recs[head]; }
+        IterRec &back() { return (*this)[count - 1]; }
+
+        /** The @p i-th oldest in-flight iteration. */
+        IterRec &
+        operator[](std::size_t i)
+        {
+            const std::size_t at = head + i;
+            return recs[at < recs.size() ? at : at - recs.size()];
+        }
+
+        void
+        push_back(const IterRec &rec)
+        {
+            kmuAssert(count < recs.size(),
+                      "OoO window over its %zu-iteration bound",
+                      recs.size());
+            ++count;
+            back() = rec;
+        }
+
+        void
+        pop_front()
+        {
+            head = head + 1 < recs.size() ? head + 1 : 0;
+            --count;
+        }
+
+      private:
+        std::vector<IterRec> recs;
+        std::size_t head = 0;
+        std::size_t count = 0;
+    };
+
     /** Per-SMT-context execution state. */
     struct Context
     {
         std::uint64_t nextIter = 0;   //!< next iteration to admit
         std::uint64_t oldestIter = 0; //!< iteration at window head
         std::uint64_t instrsInWindow = 0;
-        std::deque<IterRec> window;
+        Window window;
         bool issuing = false;         //!< issueSlot chain active
     };
 

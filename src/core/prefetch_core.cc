@@ -221,10 +221,7 @@ PrefetchCore::allocatePrefetch(std::uint32_t thread_id,
     switch (result) {
       case Lfb::AllocResult::NewEntry:
         ++prefetchesIssued;
-        issueLine(line, [this, line]() {
-            l1Install(line);
-            lineFillBuffers.fill(line);
-        });
+        issueLine(line);
         break;
       case Lfb::AllocResult::Merged:
         // Another thread already has this line in flight (possible

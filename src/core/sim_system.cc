@@ -182,28 +182,27 @@ SimSystem::buildMemoryMapped()
             "chip_membus_queue", eq, cfg.chipDramQueue, &root));
     }
 
+    // Each issued line's continuation rides the path in the event
+    // arena and ends in the issuing core's lineArrived().
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         CoreBase::IssueLine issue;
         if (membus) {
-            issue = [this](Addr line, std::function<void()> fill) {
-                (void)line;
+            issue = [this, c](Addr line) {
                 const Tick issued = eq.curTick();
-                chipQueues[0]->acquire(
-                    [this, issued, fill = std::move(fill)]() mutable {
+                chipQueues[0]->acquire([this, c, line, issued]() {
                     eq.scheduleLambda(
                         eq.curTick() + cfg.device.latency,
-                        [this, issued, fill = std::move(fill)]() {
+                        [this, c, line, issued]() {
                             chipQueues[0]->release();
                             sampleReadLatency(
                                 ticksToNs(eq.curTick() - issued));
-                            fill();
+                            cores[c]->lineArrived(line);
                         },
-                        EventPriority::DeviceResponse,
-                        "membus.fill");
+                        EventPriority::DeviceResponse, "membus.fill");
                 });
             };
         } else if (to_device) {
-            issue = [this, c](Addr line, std::function<void()> fill) {
+            issue = [this, c](Addr line) {
                 const Tick issued = eq.curTick();
                 const std::uint32_t natural =
                     topo::shardOf(line, cfg.topo);
@@ -211,30 +210,23 @@ SimSystem::buildMemoryMapped()
                     healthCtrl ? healthCtrl->route(
                                      natural, line / cacheLineSize)
                                : natural;
-                chipQueues[s]->acquire(
-                    [this, c, s, line, issued,
-                     fill = std::move(fill)]() mutable {
-                        devices[s]->hostRead(
-                            c, line,
-                            [this, s, issued,
-                             fill = std::move(fill)]() {
-                                chipQueues[s]->release();
-                                sampleReadLatency(
-                                    ticksToNs(eq.curTick() - issued));
-                                fill();
-                            });
-                    });
+                chipQueues[s]->acquire([this, c, s, line, issued]() {
+                    devices[s]->hostRead(
+                        c, line, [this, c, s, line, issued]() {
+                            chipQueues[s]->release();
+                            sampleReadLatency(
+                                ticksToNs(eq.curTick() - issued));
+                            cores[c]->lineArrived(line);
+                        });
+                });
             };
         } else {
-            issue = [this](Addr line, std::function<void()> fill) {
+            issue = [this, c](Addr line) {
                 const Tick issued = eq.curTick();
-                dram->access(
-                    line,
-                    [this, issued, fill = std::move(fill)]() {
-                        sampleReadLatency(
-                            ticksToNs(eq.curTick() - issued));
-                        fill();
-                    });
+                dram->access(line, [this, c, line, issued]() {
+                    sampleReadLatency(ticksToNs(eq.curTick() - issued));
+                    cores[c]->lineArrived(line);
+                });
             };
         }
 

@@ -30,6 +30,9 @@ SwQueueCore::SwQueueCore(std::string name, EventQueue &queue, CoreId id,
               "need one queue pair and one doorbell per shard");
     kmuAssert(queues.size() <= 64, "shard count exceeds ring mask");
     threads.resize(cfg.threadsPerCore);
+    submitTicks.assign(std::size_t(cfg.threadsPerCore) *
+                           AccessEngine::maxBatch,
+                       noSubmit);
 }
 
 void
@@ -128,7 +131,8 @@ SwQueueCore::submitPhase(ThreadId tid)
                 desc = RequestDescriptor::read(
                     line, topo::taggedShard(encodeTag(tid, slot),
                                             shard));
-                submitTicks[desc.hostAddr] = curTick();
+                submitTicks[tid * AccessEngine::maxBatch + slot] =
+                    curTick();
                 reads++;
             }
             SwQueuePair &qp = *queues[shard];
@@ -207,13 +211,16 @@ SwQueueCore::pollLoop()
                           "completion for unknown thread %u", tid);
                 UThread &t = threads[tid];
                 kmuAssert(t.pendingFills > 0, "unexpected completion");
-                auto sub = submitTicks.find(comp.hostAddr);
-                if (sub != submitTicks.end()) {
-                    if (sampleLatency)
-                        sampleLatency(
-                            ticksToNs(curTick() - sub->second));
-                    submitTicks.erase(sub);
-                }
+                Tick &submitted =
+                    submitTicks[tid * AccessEngine::maxBatch +
+                                decodeSlot(comp.hostAddr)];
+                KMU_INVARIANT(submitted != noSubmit,
+                              "%s reaped read %#llx it never submitted",
+                              name().c_str(),
+                              (unsigned long long)comp.hostAddr);
+                if (sampleLatency)
+                    sampleLatency(ticksToNs(curTick() - submitted));
+                submitted = noSubmit;
                 t.pendingFills--;
                 accessesCompleted++;
                 if (t.pendingFills == 0)

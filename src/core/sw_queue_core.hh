@@ -20,7 +20,6 @@
 #define KMU_CORE_SW_QUEUE_CORE_HH
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "core/core_base.hh"
@@ -86,6 +85,14 @@ class SwQueueCore : public CoreBase
                         cacheLineSize / 64);
     }
 
+    /** Decode the batch slot from a completion tag. */
+    static std::uint32_t
+    decodeSlot(Addr tag)
+    {
+        return std::uint32_t((topo::stripShard(tag) & ~Addr(1)) /
+                             cacheLineSize % 64);
+    }
+
     /** Write completions carry bit 0 (posted-write recycle only). */
     static bool
     isWriteTag(Addr tag)
@@ -134,7 +141,10 @@ class SwQueueCore : public CoreBase
     std::vector<SwQueuePair *> queues;    //!< one per device shard
     std::vector<RingDoorbell> doorbells;  //!< one per device shard
     ShardRouter router;                   //!< optional reroute hook
-    std::unordered_map<Addr, Tick> submitTicks; //!< read tag -> tick
+    /** Submit tick of each outstanding read, indexed by
+     *  thread * maxBatch + slot (noSubmit when none). */
+    std::vector<Tick> submitTicks;
+    static constexpr Tick noSubmit = maxTick;
     std::vector<UThread> threads;
     std::deque<ThreadId> readyQueue;
     bool idleWaiting = false;

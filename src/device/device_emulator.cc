@@ -36,16 +36,6 @@ DeviceEmulator::setReplaySource(CoreId core,
 }
 
 void
-DeviceEmulator::hostRead(CoreId core, Addr addr, ResponseCallback cb)
-{
-    // Read-request TLP: header only (the request carries no payload).
-    link.send(LinkDir::ToDevice, 0, 0,
-              [this, core, addr, cb = std::move(cb)]() mutable {
-                  deviceReceive(core, addr, std::move(cb));
-              });
-}
-
-void
 DeviceEmulator::hostWrite(CoreId core, Addr addr)
 {
     (void)addr;
@@ -57,8 +47,8 @@ DeviceEmulator::hostWrite(CoreId core, Addr addr)
     });
 }
 
-void
-DeviceEmulator::deviceReceive(CoreId core, Addr addr, ResponseCallback cb)
+Tick
+DeviceEmulator::deviceReceive(CoreId core, Addr addr)
 {
     kmuAssert(core < replayModules.size(),
               "request from unknown core %u", core);
@@ -104,24 +94,14 @@ DeviceEmulator::deviceReceive(CoreId core, Addr addr, ResponseCallback cb)
         trace::instant(trace::Kind::DevReplayMatch, span, lane);
     }
 
-    // Delay module: the request was timestamped on arrival (curTick);
-    // the response completion leaves after the residual hold time.
-    eventQueue().scheduleLambda(
-        curTick() + service,
-        [this, span, lane, cb = std::move(cb)]() mutable {
-            ++responsesSent;
-            trace::end(trace::Kind::DevService, span, lane);
-            if (trace::active()) {
-                cb = [span, lane, inner = std::move(cb)] {
-                    trace::instant(trace::Kind::Completion, span,
-                                   lane);
-                    inner();
-                };
-            }
-            link.send(LinkDir::ToHost, cacheLineSize, cacheLineSize,
-                      std::move(cb));
-        },
-        EventPriority::Default, delayName);
+    return service;
+}
+
+void
+DeviceEmulator::respond(std::uint64_t span, std::uint16_t lane)
+{
+    ++responsesSent;
+    trace::end(trace::Kind::DevService, span, lane);
 }
 
 } // namespace kmu

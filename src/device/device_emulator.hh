@@ -20,8 +20,8 @@
 #ifndef KMU_DEVICE_DEVICE_EMULATOR_HH
 #define KMU_DEVICE_DEVICE_EMULATOR_HH
 
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "device/device_params.hh"
@@ -35,9 +35,6 @@ namespace kmu
 class DeviceEmulator : public SimObject
 {
   public:
-    /** Runs at the host when the response completion TLP arrives. */
-    using ResponseCallback = std::function<void()>;
-
     DeviceEmulator(std::string name, EventQueue &queue, DeviceParams params,
                    PcieLink &link, std::uint32_t num_cores,
                    StatGroup *stat_parent);
@@ -56,9 +53,20 @@ class DeviceEmulator : public SimObject
      * Host-side entry point of the memory-mapped path: transmits the
      * read-request TLP, waits out the emulated device latency, and
      * returns the cache-line completion; @p cb runs at the host when
-     * the data arrives on-chip.
+     * the data arrives on-chip. The callable rides along inside each
+     * hop's arena slot; no hop allocates.
      */
-    void hostRead(CoreId core, Addr addr, ResponseCallback cb);
+    template <typename F>
+    void
+    hostRead(CoreId core, Addr addr, F &&cb)
+    {
+        // Read-request TLP: header only (the request carries no
+        // payload).
+        link.send(LinkDir::ToDevice, 0, 0,
+                  [this, core, addr, cb = std::forward<F>(cb)]() mutable {
+                      serveRead(core, addr, std::move(cb));
+                  });
+    }
 
     /**
      * Host-side entry point for a posted line write: a 64-byte
@@ -99,8 +107,44 @@ class DeviceEmulator : public SimObject
     /** Cached "<name>.delay": scheduled once per request. */
     const std::string delayName = name() + ".delay";
 
-    /** Request dispatcher + replay + delay for one arrived TLP. */
-    void deviceReceive(CoreId core, Addr addr, ResponseCallback cb);
+    /** Request dispatcher + replay + delay for one arrived read TLP;
+     *  @p cb runs at the host when the completion arrives. */
+    template <typename F>
+    void
+    serveRead(CoreId core, Addr addr, F &&cb)
+    {
+        const Tick service = deviceReceive(core, addr);
+        const std::uint64_t span = requests.value();
+        const std::uint16_t lane = std::uint16_t(traceLaneBase + core);
+        // Delay module: the request was timestamped on arrival
+        // (curTick); the response completion leaves after the
+        // residual hold time.
+        eventQueue().scheduleLambda(
+            curTick() + service,
+            [this, span, lane, cb = std::forward<F>(cb)]() mutable {
+                respond(span, lane);
+                if (!trace::active()) {
+                    link.send(LinkDir::ToHost, cacheLineSize,
+                              cacheLineSize, std::move(cb));
+                    return;
+                }
+                link.send(LinkDir::ToHost, cacheLineSize, cacheLineSize,
+                          [span, lane, cb = std::move(cb)]() mutable {
+                              trace::instant(trace::Kind::Completion,
+                                             span, lane);
+                              cb();
+                          });
+            },
+            EventPriority::Default, delayName);
+    }
+
+    /** Request dispatcher + replay for one arrived read TLP: books
+     *  the request and returns its service time. */
+    Tick deviceReceive(CoreId core, Addr addr);
+
+    /** The delay module releases a response: book it and close the
+     *  request's service span. */
+    void respond(std::uint64_t span, std::uint16_t lane);
 
     DeviceParams cfg;
     PcieLink &link;

@@ -181,15 +181,19 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
                 fault::FaultSite::DescFetchTruncation, descriptorBurst));
         pair.queues.fetchBurst(burst, slots);
         if (burst.empty()) {
-            // Publish the doorbell-request flag FIRST, then re-check
-            // the queue once: a request submitted between our empty
-            // read and the flag publication would otherwise be
-            // stranded (its submitter saw the flag still clear and
-            // did not ring the doorbell).
+            // Park BEFORE publishing the doorbell-request flag, then
+            // re-check the queue once. A request submitted between
+            // our empty read and the flag publication would
+            // otherwise be stranded (its submitter saw the flag
+            // still clear and did not ring the doorbell). And a host
+            // that consumes the flag as soon as it is published
+            // rings a doorbell whose parked = false must land after
+            // our park store, never be overwritten by it.
+            pair.parked.store(true, std::memory_order_release);
             pair.queues.requestDoorbell();
             pair.queues.fetchBurst(burst);
-            if (burst.empty())
-                pair.parked.store(true, std::memory_order_release);
+            if (!burst.empty())
+                pair.parked.store(false, std::memory_order_release);
         }
         if (!burst.empty()) {
             busy = true;

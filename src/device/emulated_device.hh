@@ -152,7 +152,7 @@ class EmulatedDevice
         std::uint16_t traceLane; //!< trace track (= pair index)
         std::deque<Pending> inFlight;
         std::atomic<bool> parked
-            KMU_ATOMIC_ROLE(host_clears, device_sets, device_reads){true};
+            KMU_ATOMIC_ROLE(host_clears, device_writes, device_reads){true};
         std::unique_ptr<ReplayWindow> replayCheck;
         std::vector<Addr> recordedSequence;
         std::size_t replayCursor = 0;

@@ -33,6 +33,7 @@ RequestFetcher::RequestFetcher(std::string name, EventQueue &queue,
       core(core_id), cfg(params), queues(qp), link(pcie),
       hostMemLatency(host_mem_latency), notify(std::move(notify_cb))
 {
+    burst.reserve(cfg.burstSize);
 }
 
 void
@@ -84,8 +85,7 @@ RequestFetcher::issueBurst()
         eventQueue().scheduleLambda(
             curTick() + hostMemLatency,
             [this]() {
-                std::vector<RequestDescriptor> burst;
-                burst.reserve(cfg.burstSize);
+                burst.clear();
                 // Truncation fault: the DMA burst is cut short after
                 // k < burstSize slots. Unread descriptors stay in the
                 // ring, so a later burst (or the park-path sweep)
@@ -103,16 +103,14 @@ RequestFetcher::issueBurst()
                 const std::uint32_t payload =
                     cfg.burstSize * sizeof(RequestDescriptor);
                 link.send(LinkDir::ToDevice, payload, 0,
-                          [this, burst = std::move(burst)]() mutable {
-                              processBurst(std::move(burst));
-                          });
+                          [this]() { processBurst(); });
             },
             EventPriority::Default, descReadName);
     });
 }
 
 void
-RequestFetcher::processBurst(std::vector<RequestDescriptor> burst)
+RequestFetcher::processBurst()
 {
     trace::end(trace::Kind::DescBurst, burstReads.value(),
                traceTrack(), std::uint32_t(burst.size()));
@@ -132,10 +130,9 @@ RequestFetcher::processBurst(std::vector<RequestDescriptor> burst)
         link.send(LinkDir::ToHost, 8, 0, [this]() {
             RoleGuard device(queues.deviceRole);
             queues.requestDoorbell();
-            std::vector<RequestDescriptor> sweep;
-            sweep.reserve(cfg.burstSize);
-            queues.fetchBurst(sweep, cfg.burstSize);
-            if (sweep.empty()) {
+            burst.clear();
+            queues.fetchBurst(burst, cfg.burstSize);
+            if (burst.empty()) {
                 // Doorbell-clear race closure: parking is only legal
                 // with the request flag published, otherwise a host
                 // submitter that observed the flag clear would skip
@@ -151,8 +148,8 @@ RequestFetcher::processBurst(std::vector<RequestDescriptor> burst)
                 return;
             }
             // Raced-in requests: service them and keep fetching.
-            descriptorsFetched += sweep.size();
-            for (const RequestDescriptor &desc : sweep)
+            descriptorsFetched += burst.size();
+            for (const RequestDescriptor &desc : burst)
                 serviceDescriptor(desc);
             issueBurst();
         });
@@ -208,12 +205,12 @@ RequestFetcher::serviceDescriptor(const RequestDescriptor &desc)
         // on-demand module (extra latency, same data).
         if (fault::fire(fault::FaultSite::ReplayEvictionStorm,
                         faultShard)) {
-            const std::uint64_t burst = fault::magnitude(
+            const std::uint64_t storm = fault::magnitude(
                 fault::FaultSite::ReplayEvictionStorm,
                 cfg.replayWindowSize / 4);
             replay->evictOldest(std::size_t(fault::draw(
                 fault::FaultSite::ReplayEvictionStorm,
-                std::max<std::uint64_t>(burst, 1))));
+                std::max<std::uint64_t>(storm, 1))));
         }
         // Software-generated requests are never missing or spurious,
         // but we still route them through the replay module for

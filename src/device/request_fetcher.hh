@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "device/device_params.hh"
 #include "device/replay_window.hh"
@@ -87,7 +88,9 @@ class RequestFetcher : public SimObject
     const std::string delayName = name() + ".delay";
 
     void issueBurst();
-    void processBurst(std::vector<RequestDescriptor> burst);
+
+    /** Service the burst that just arrived in `burst`. */
+    void processBurst();
     void serviceDescriptor(const RequestDescriptor &desc);
     void sendCompletion(const RequestDescriptor &desc);
 
@@ -98,6 +101,10 @@ class RequestFetcher : public SimObject
     Tick hostMemLatency;
     CompletionNotify notify;
     std::unique_ptr<ReplayWindow> replay;
+    /** The one descriptor burst in flight (a fetcher never issues
+     *  the next burst before servicing this one), reused so the
+     *  fetch path allocates nothing. */
+    std::vector<RequestDescriptor> burst;
     std::uint32_t faultShard = 0;
     bool active = false;
 };

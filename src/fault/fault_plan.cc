@@ -7,13 +7,6 @@ namespace kmu
 namespace fault
 {
 
-namespace
-{
-
-FaultPlan *activePlan = nullptr;
-
-} // anonymous namespace
-
 const char *
 faultSiteName(FaultSite site)
 {
@@ -193,18 +186,6 @@ FaultPlan::totalInjected() const
     for (const SiteState &s : sites)
         total += s.injectedCount;
     return total;
-}
-
-void
-install(FaultPlan *plan_to_install)
-{
-    activePlan = plan_to_install;
-}
-
-FaultPlan *
-plan()
-{
-    return activePlan;
 }
 
 std::uint64_t

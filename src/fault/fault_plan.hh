@@ -208,16 +208,30 @@ class FaultPlan
     std::array<SiteState, numFaultSites> sites;
 };
 
+namespace detail
+{
+inline FaultPlan *activePlan = nullptr;
+} // namespace detail
+
 /**
  * Install @p plan as the process-wide active plan (nullptr to
  * disable). The caller keeps ownership and must keep the plan alive
  * while installed. Not thread-safe: install before starting the
  * device thread / fiber scheduler, uninstall after they stop.
  */
-void install(FaultPlan *plan);
+inline void
+install(FaultPlan *plan_to_install)
+{
+    detail::activePlan = plan_to_install;
+}
 
-/** The active plan, or nullptr when injection is off. */
-FaultPlan *plan();
+/** The active plan, or nullptr when injection is off: an inline flag
+ *  read, since every fault site on the hot path consults it. */
+inline FaultPlan *
+plan()
+{
+    return detail::activePlan;
+}
 
 /** RAII installer for tests and tools. */
 class ScopedPlan

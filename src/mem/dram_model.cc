@@ -14,23 +14,21 @@ DramModel::DramModel(std::string name, EventQueue &queue, DramParams params,
 {
 }
 
-void
-DramModel::access(Addr line, FillCallback cb)
+std::uint64_t
+DramModel::beginRead(Addr line)
 {
     (void)line;
     ++reads;
     const std::uint64_t span = reads.value();
     trace::begin(trace::Kind::DramRead, span, traceTrack());
-    pathQueue.acquire([this, span, cb = std::move(cb)]() mutable {
-        eventQueue().scheduleLambda(
-            curTick() + cfg.latency,
-            [this, span, cb = std::move(cb)]() {
-                pathQueue.release();
-                trace::end(trace::Kind::DramRead, span, traceTrack());
-                cb();
-            },
-            EventPriority::DeviceResponse, fillName);
-    });
+    return span;
+}
+
+void
+DramModel::endRead(std::uint64_t span)
+{
+    pathQueue.release();
+    trace::end(trace::Kind::DramRead, span, traceTrack());
 }
 
 } // namespace kmu

@@ -16,7 +16,7 @@
 #ifndef KMU_MEM_DRAM_MODEL_HH
 #define KMU_MEM_DRAM_MODEL_HH
 
-#include <functional>
+#include <utility>
 
 #include "mem/uncore_queue.hh"
 #include "sim/sim_object.hh"
@@ -34,8 +34,6 @@ struct DramParams
 class DramModel : public SimObject
 {
   public:
-    using FillCallback = std::function<void()>;
-
     DramModel(std::string name, EventQueue &queue, DramParams params,
               StatGroup *stat_parent);
 
@@ -46,7 +44,21 @@ class DramModel : public SimObject
      * Queueing behind the 48-entry path is modelled; address is
      * accepted for interface symmetry and stats only.
      */
-    void access(Addr line, FillCallback cb);
+    template <typename F>
+    void
+    access(Addr line, F &&cb)
+    {
+        const std::uint64_t span = beginRead(line);
+        pathQueue.acquire([this, span, cb = std::forward<F>(cb)]() mutable {
+            eventQueue().scheduleLambda(
+                curTick() + cfg.latency,
+                [this, span, cb = std::move(cb)]() mutable {
+                    endRead(span);
+                    cb();
+                },
+                EventPriority::DeviceResponse, fillName);
+        });
+    }
 
     /** Chip-level queue for the DRAM path (exposed for tests). */
     UncoreQueue &queue() { return pathQueue; }
@@ -56,6 +68,12 @@ class DramModel : public SimObject
   private:
     /** Cached "<name>.fill": scheduled once per read. */
     const std::string fillName = name() + ".fill";
+
+    /** Book one read; returns its trace span id. */
+    std::uint64_t beginRead(Addr line);
+
+    /** The read's data is on-chip: free its path-queue slot. */
+    void endRead(std::uint64_t span);
 
     DramParams cfg;
     UncoreQueue pathQueue;

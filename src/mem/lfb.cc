@@ -17,23 +17,26 @@ Lfb::Lfb(std::string name, EventQueue &queue, std::uint32_t capacity,
       fills(stats(), "fills", "entries filled and freed"),
       occupancyAtAlloc(stats(), "occupancy_at_alloc",
                        "entries in use when a new entry was allocated"),
-      cap(capacity)
+      cap(capacity), table(capacity)
 {
     kmuAssert(capacity > 0, "LFB capacity must be positive");
 }
 
-bool
-Lfb::pending(Addr line) const
+std::uint32_t
+Lfb::find(Addr line) const
 {
-    return entries.find(line) != entries.end();
+    for (std::uint32_t i = 0; i < cap; ++i) {
+        if (table[i].live && table[i].line == line)
+            return i;
+    }
+    return noSlot;
 }
 
 Lfb::AllocResult
-Lfb::request(Addr line, FillCallback cb)
+Lfb::claim(Addr line, std::uint32_t &slot)
 {
-    auto it = entries.find(line);
-    if (it != entries.end()) {
-        it->second.waiters.push_back(std::move(cb));
+    slot = find(line);
+    if (slot != noSlot) {
         ++merges;
         trace::instant(trace::Kind::LfbMerge, line, traceTrack());
         return AllocResult::Merged;
@@ -57,9 +60,12 @@ Lfb::request(Addr line, FillCallback cb)
     occupancyAtAlloc.sample(double(inUse()));
     trace::begin(trace::Kind::LfbResident, line, traceTrack(),
                  inUse());
-    Entry entry;
-    entry.waiters.push_back(std::move(cb));
-    entries.emplace(line, std::move(entry));
+    slot = 0;
+    while (table[slot].live)
+        ++slot;
+    table[slot].line = line;
+    table[slot].live = true;
+    used++;
     ++allocs;
     KMU_INVARIANT(inUse() <= cap,
                   "LFB occupancy %u exceeds capacity %u", inUse(), cap);
@@ -70,20 +76,6 @@ Lfb::request(Addr line, FillCallback cb)
                     (unsigned long long)allocs.value(),
                     (unsigned long long)fills.value());
     return AllocResult::NewEntry;
-}
-
-void
-Lfb::waitForFree(FreeCallback cb)
-{
-    if (!full()) {
-        // An entry is already free; run the callback this tick but
-        // off the current call stack for re-entrancy safety.
-        eventQueue().scheduleLambda(curTick(), std::move(cb),
-                                    EventPriority::Default,
-                                    freeNowName);
-        return;
-    }
-    freeWaiters.push_back(std::move(cb));
 }
 
 void
@@ -103,27 +95,26 @@ Lfb::fill(Addr line)
         return;
     }
 
-    auto it = entries.find(line);
-    KMU_INVARIANT(it != entries.end(),
+    const std::uint32_t slot = find(line);
+    KMU_INVARIANT(slot != noSlot,
                   "fill for line %#llx with no LFB entry",
                   (unsigned long long)line);
 
     // Detach before invoking callbacks: a waiter may re-request.
-    auto waiters = std::move(it->second.waiters);
-    entries.erase(it);
+    Entry &entry = table[slot];
+    BoundFifo waiters = std::exchange(entry.waiters, BoundFifo{});
+    entry.live = false;
+    used--;
     ++fills;
     trace::end(trace::Kind::LfbResident, line, traceTrack(),
                std::uint32_t(waiters.size()));
 
-    for (auto &cb : waiters)
-        cb();
+    while (!waiters.empty())
+        eventQueue().runBound(waiters.pop());
 
     // One freed entry admits one waiting demand miss.
-    if (!freeWaiters.empty() && !full()) {
-        auto cb = std::move(freeWaiters.front());
-        freeWaiters.pop_front();
-        cb();
-    }
+    if (!freeWaiters.empty() && !full())
+        eventQueue().runBound(freeWaiters.pop());
     KMU_MODEL_CHECK(allocs.value() - fills.value() == inUse(),
                     "LFB in-flight count %u != allocated %llu - "
                     "filled %llu", inUse(),

@@ -22,9 +22,7 @@
 #ifndef KMU_MEM_LFB_HH
 #define KMU_MEM_LFB_HH
 
-#include <deque>
-#include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/sim_object.hh"
@@ -35,12 +33,6 @@ namespace kmu
 class Lfb : public SimObject
 {
   public:
-    /** Invoked when the requested line's data arrives. */
-    using FillCallback = std::function<void()>;
-
-    /** Invoked once a free entry exists for a waiting demand miss. */
-    using FreeCallback = std::function<void()>;
-
     /** Outcome of an allocation attempt. */
     enum class AllocResult
     {
@@ -53,28 +45,54 @@ class Lfb : public SimObject
         StatGroup *stat_parent);
 
     std::uint32_t capacity() const { return cap; }
-    std::uint32_t inUse() const { return std::uint32_t(entries.size()); }
-    bool full() const { return inUse() >= cap; }
+    std::uint32_t inUse() const { return used; }
+    bool full() const { return used >= cap; }
 
     /** True iff a miss to @p line is currently outstanding. */
-    bool pending(Addr line) const;
+    bool pending(Addr line) const { return find(line) != noSlot; }
 
     /**
      * Try to allocate (or merge into) an entry for @p line.
      *
      * On NewEntry the caller is responsible for issuing the request
      * downstream and eventually calling fill(line). On Merged or
-     * NewEntry, @p cb fires when the line's data arrives. On NoEntry
-     * nothing is recorded.
+     * NewEntry, @p cb fires when the line's data arrives: it is bound
+     * into the event arena and parked on the entry, in FIFO order
+     * with the entry's other waiters. On NoEntry nothing is recorded.
      */
-    AllocResult request(Addr line, FillCallback cb);
+    template <typename F>
+    AllocResult
+    request(Addr line, F &&cb)
+    {
+        std::uint32_t slot = noSlot;
+        const AllocResult result = claim(line, slot);
+        if (result != AllocResult::NoEntry) {
+            table[slot].waiters.push(eventQueue().bindLambda(
+                std::forward<F>(cb), EventPriority::Default, fillName));
+        }
+        return result;
+    }
 
     /**
      * Register @p cb to run as soon as any entry is free. Used by
      * demand misses that must stall on a full LFB. Callbacks fire in
      * FIFO order, one per freed entry.
      */
-    void waitForFree(FreeCallback cb);
+    template <typename F>
+    void
+    waitForFree(F &&cb)
+    {
+        if (!full()) {
+            // An entry is already free; run the callback this tick
+            // but off the current call stack for re-entrancy safety.
+            eventQueue().scheduleLambda(curTick(), std::forward<F>(cb),
+                                        EventPriority::Default,
+                                        freeNowName);
+            return;
+        }
+        freeWaiters.push(eventQueue().bindLambda(
+            std::forward<F>(cb), EventPriority::Default, freeNowName));
+    }
 
     /** Data for @p line arrived; wake waiters and free the entry. */
     void fill(Addr line);
@@ -91,15 +109,30 @@ class Lfb : public SimObject
     /** Cached event names: the fill path runs per access. */
     const std::string freeNowName = name() + ".freeNow";
     const std::string stalledFillName = name() + ".stalledFill";
+    const std::string fillName = name() + ".fill";
 
+    /** One line fill buffer: a table slot, live while its miss is
+     *  in flight. */
     struct Entry
     {
-        std::vector<FillCallback> waiters;
+        Addr line = 0;
+        bool live = false;
+        BoundFifo waiters; //!< fill callbacks, run in FIFO order
     };
 
+    static constexpr std::uint32_t noSlot = ~0u;
+
+    /** Table slot of the live entry for @p line, or noSlot. */
+    std::uint32_t find(Addr line) const;
+
+    /** Merge into or allocate an entry for @p line (the accounting
+     *  and fault draws of request()); @p slot names the entry. */
+    AllocResult claim(Addr line, std::uint32_t &slot);
+
     std::uint32_t cap;
-    std::unordered_map<Addr, Entry> entries;
-    std::deque<FreeCallback> freeWaiters;
+    std::uint32_t used = 0;
+    std::vector<Entry> table; //!< cap slots, fixed at construction
+    BoundFifo freeWaiters;
 };
 
 } // namespace kmu

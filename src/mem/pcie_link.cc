@@ -27,9 +27,9 @@ PcieLink::dirState(LinkDir dir) const
     return dir == LinkDir::ToDevice ? toDevice : toHost;
 }
 
-void
-PcieLink::send(LinkDir dir, std::uint32_t payload_bytes,
-               std::uint32_t useful_bytes, DeliverCallback cb)
+PcieLink::Delivery
+PcieLink::transmit(LinkDir dir, std::uint32_t payload_bytes,
+                   std::uint32_t useful_bytes)
 {
     KMU_INVARIANT(useful_bytes <= payload_bytes,
                   "useful bytes exceed payload (%u > %u)",
@@ -98,26 +98,19 @@ PcieLink::send(LinkDir dir, std::uint32_t payload_bytes,
                     (unsigned long long)d.useful,
                     (unsigned long long)d.wire);
 
+    Delivery out{done + cfg.propagation + deliver_extra, 0, 0, false};
     // The TLP's time on the link is a span: begin at send, end at
-    // delivery. Lanes traceTrack()+0/+1 = toDevice/toHost so the two
-    // directions render separately. Only wrap the callback when a
-    // trace sink is live — the wrap allocates, the disabled path
-    // must not.
+    // delivery (send() wraps the callback). Lanes traceTrack()+0/+1 =
+    // toDevice/toHost so the two directions render separately.
     if (trace::active()) {
-        const std::uint16_t lane = std::uint16_t(
+        out.lane = std::uint16_t(
             traceTrack() + (dir == LinkDir::ToDevice ? 0 : 1));
-        const std::uint64_t span = d.traceSeq++;
-        trace::begin(trace::Kind::PcieTlp, span, lane, wire_bytes);
-        cb = [span, lane, inner = std::move(cb)] {
-            trace::end(trace::Kind::PcieTlp, span, lane);
-            inner();
-        };
+        out.span = d.traceSeq++;
+        out.traced = true;
+        trace::begin(trace::Kind::PcieTlp, out.span, out.lane,
+                     wire_bytes);
     }
-
-    eventQueue().scheduleLambda(done + cfg.propagation + deliver_extra,
-                                std::move(cb),
-                                EventPriority::DeviceResponse,
-                                deliverName);
+    return out;
 }
 
 std::uint64_t

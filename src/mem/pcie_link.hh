@@ -19,9 +19,10 @@
 #ifndef KMU_MEM_PCIE_LINK_HH
 #define KMU_MEM_PCIE_LINK_HH
 
-#include <functional>
+#include <utility>
 
 #include "sim/sim_object.hh"
+#include "trace/trace.hh"
 
 namespace kmu
 {
@@ -44,8 +45,6 @@ struct PcieLinkParams
 class PcieLink : public SimObject
 {
   public:
-    using DeliverCallback = std::function<void()>;
-
     PcieLink(std::string name, EventQueue &queue, PcieLinkParams params,
              StatGroup *stat_parent);
 
@@ -58,10 +57,32 @@ class PcieLink : public SimObject
      * @param payload_bytes TLP payload (header added internally).
      * @param useful_bytes  portion of the payload that is requested
      *                      application data (for utilization stats).
-     * @param cb            runs when the TLP fully arrives.
+     * @param cb            runs when the TLP fully arrives; bound
+     *                      straight into the event arena.
      */
-    void send(LinkDir dir, std::uint32_t payload_bytes,
-              std::uint32_t useful_bytes, DeliverCallback cb);
+    template <typename F>
+    void
+    send(LinkDir dir, std::uint32_t payload_bytes,
+         std::uint32_t useful_bytes, F &&cb)
+    {
+        const Delivery d = transmit(dir, payload_bytes, useful_bytes);
+        if (d.traced) {
+            // The TLP's time on the link is a trace span: it ends at
+            // delivery. Only a traced run pays for the wrapper.
+            eventQueue().scheduleLambda(
+                d.at,
+                [span = d.span, lane = d.lane,
+                 cb = std::forward<F>(cb)]() mutable {
+                    trace::end(trace::Kind::PcieTlp, span, lane);
+                    cb();
+                },
+                EventPriority::DeviceResponse, deliverName);
+            return;
+        }
+        eventQueue().scheduleLambda(d.at, std::forward<F>(cb),
+                                    EventPriority::DeviceResponse,
+                                    deliverName);
+    }
 
     /** Wire bytes transmitted so far in @p dir (headers included). */
     std::uint64_t wireBytes(LinkDir dir) const;
@@ -92,9 +113,22 @@ class PcieLink : public SimObject
     std::uint32_t faultShardId() const { return faultShard; }
 
   private:
-    /** Cached "<name>.deliver": per-TLP scheduling must not
-     *  rebuild the event name. */
+    /** Cached "<name>.deliver": the per-TLP event name. */
     const std::string deliverName = name() + ".deliver";
+
+    /** One TLP as booked on the wire by transmit(). */
+    struct Delivery
+    {
+        Tick at;            //!< arrival tick at the far end
+        std::uint64_t span; //!< PcieTlp trace span (traced only)
+        std::uint16_t lane; //!< trace lane of the direction
+        bool traced;        //!< a trace sink saw the span begin
+    };
+
+    /** Serialize one TLP on @p dir: wire and fault accounting, the
+     *  trace span's begin, and the tick it arrives. */
+    Delivery transmit(LinkDir dir, std::uint32_t payload_bytes,
+                      std::uint32_t useful_bytes);
 
     struct Direction
     {

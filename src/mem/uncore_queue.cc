@@ -21,7 +21,7 @@ UncoreQueue::UncoreQueue(std::string name, EventQueue &queue,
 }
 
 void
-UncoreQueue::grant(EnterCallback cb)
+UncoreQueue::grant(LambdaEvent *entered)
 {
     used++;
     KMU_INVARIANT(used <= cap,
@@ -43,13 +43,11 @@ UncoreQueue::grant(EnterCallback cb)
                     (unsigned long long)releasedCount);
     // Run off the current stack so release() inside the callback
     // cannot recurse into waiter admission mid-flight.
-    eventQueue().scheduleLambda(curTick(), std::move(cb),
-                                EventPriority::Default,
-                                enterName);
+    eventQueue().schedule(entered, curTick());
 }
 
 void
-UncoreQueue::acquire(EnterCallback cb)
+UncoreQueue::acquireBound(LambdaEvent *entered)
 {
     // Injected faults retry the acquire later instead of parking on
     // the waiter list: the waiter list is only drained by release(),
@@ -63,20 +61,18 @@ UncoreQueue::acquire(EnterCallback cb)
         eventQueue().scheduleLambda(
             curTick() + fault::draw(fault::FaultSite::UncoreEntryStall,
                                     stall),
-            [this, cb = std::move(cb)]() mutable {
-                acquire(std::move(cb));
-            },
+            [this, entered]() { acquireBound(entered); },
             EventPriority::Default, faultRetryName);
         return;
     }
     if (!full()) {
-        grant(std::move(cb));
+        grant(entered);
         return;
     }
     ++fullStalls;
     trace::instant(trace::Kind::UncoreStall, fullStalls.value(),
                    traceTrack(), used);
-    waiters.push_back(std::move(cb));
+    waiters.push(entered);
 }
 
 void
@@ -87,11 +83,8 @@ UncoreQueue::release()
     releasedCount++;
     // After a capacity shrink the queue can sit over-committed; a
     // release then only drains occupancy and must not admit anyone.
-    if (!waiters.empty() && !full()) {
-        auto cb = std::move(waiters.front());
-        waiters.pop_front();
-        grant(std::move(cb));
-    }
+    if (!waiters.empty() && !full())
+        grant(waiters.pop());
     // Nobody may wait while a slot is free (would be a lost wakeup).
     KMU_MODEL_CHECK(waiters.empty() || full(),
                     "%zu waiters stalled on a non-full uncore queue "
@@ -104,11 +97,8 @@ UncoreQueue::setCapacity(std::uint32_t capacity)
     kmuAssert(capacity > 0, "uncore queue capacity must be positive");
     cap = capacity;
     // Growth may have opened headroom for parked waiters.
-    while (!waiters.empty() && !full()) {
-        auto cb = std::move(waiters.front());
-        waiters.pop_front();
-        grant(std::move(cb));
-    }
+    while (!waiters.empty() && !full())
+        grant(waiters.pop());
 }
 
 } // namespace kmu

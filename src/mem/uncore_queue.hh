@@ -16,8 +16,7 @@
 #ifndef KMU_MEM_UNCORE_QUEUE_HH
 #define KMU_MEM_UNCORE_QUEUE_HH
 
-#include <deque>
-#include <functional>
+#include <utility>
 
 #include "sim/sim_object.hh"
 
@@ -27,9 +26,6 @@ namespace kmu
 class UncoreQueue : public SimObject
 {
   public:
-    /** Invoked once the request holds a slot and may proceed. */
-    using EnterCallback = std::function<void()>;
-
     UncoreQueue(std::string name, EventQueue &queue, std::uint32_t capacity,
                 StatGroup *stat_parent);
 
@@ -41,9 +37,17 @@ class UncoreQueue : public SimObject
     /**
      * Acquire a slot. If one is free the callback runs immediately
      * (same tick, off-stack); otherwise it queues FIFO behind other
-     * waiters and runs when a slot is released.
+     * waiters and runs when a slot is released. The callback is
+     * bound into the event arena now and parked there while it
+     * waits; the grant schedules that slot.
      */
-    void acquire(EnterCallback cb);
+    template <typename F>
+    void
+    acquire(F &&cb)
+    {
+        acquireBound(eventQueue().bindLambda(
+            std::forward<F>(cb), EventPriority::Default, enterName));
+    }
 
     /** Release a slot (response left the queue); admits one waiter. */
     void release();
@@ -81,14 +85,18 @@ class UncoreQueue : public SimObject
     const std::string enterName = name() + ".enter";
     const std::string faultRetryName = name() + ".faultRetry";
 
-    void grant(EnterCallback cb);
+    /** Fault draws, then grant or park, for a bound request. */
+    void acquireBound(LambdaEvent *entered);
+
+    /** Take a slot for @p entered and schedule it this tick. */
+    void grant(LambdaEvent *entered);
 
     std::uint32_t cap;
     std::uint32_t faultShard = 0;
     std::uint32_t used = 0;
     std::uint32_t peak = 0;
     std::uint64_t releasedCount = 0;
-    std::deque<EnterCallback> waiters;
+    BoundFifo waiters;
 };
 
 } // namespace kmu

@@ -7,7 +7,7 @@ namespace kmu
 {
 
 Event::Event(std::string name, EventPriority priority)
-    : eventName(std::move(name)), prio(priority)
+    : ownedName(std::move(name)), eventName(ownedName), prio(priority)
 {
 }
 
@@ -16,7 +16,8 @@ Event::~Event()
     // Owners must deschedule before destroying; we cannot reach the
     // queue from here, so just flag misuse.
     if (isScheduled)
-        panic("event '%s' destroyed while scheduled", eventName.c_str());
+        panic("event '%.*s' destroyed while scheduled",
+              int(eventName.size()), eventName.data());
 }
 
 EventQueue::~EventQueue()
@@ -34,36 +35,25 @@ EventQueue::~EventQueue()
             static_cast<LambdaEvent *>(entry.event)->dispose();
     };
     ladder.forEachEntry(disarm);
-}
-
-void
-EventQueue::schedule(Event *event, Tick when)
-{
-    KMU_INVARIANT(!event->isScheduled,
-                  "event '%s' scheduled twice", event->name().c_str());
-    KMU_INVARIANT(when >= now,
-                  "event '%s' scheduled in the past (%llu < %llu)",
-                  event->name().c_str(), (unsigned long long)when,
-                  (unsigned long long)now);
-    event->isScheduled = true;
-    event->scheduledAt = when;
-    event->entrySeq = nextSeq;
-    const sched::Entry entry{when, std::int32_t(event->prio),
-                             nextSeq++, event};
-    ladder.insert(entry);
-    liveEvents++;
-    if (event->ownedByQueue)
-        ownedLive++;
+    // The slabs free their slots next; lift the freelist poison so
+    // the slot destructors and the deallocation see plain memory.
+    // Slots still bound but never scheduled (parked waiters) are
+    // disposed by their destructors, exactly once.
+    for (auto &slab : slabs) {
+        for (std::size_t i = 0; i < slabSize; ++i)
+            kmuSanUnpoisonRegion(slab[i].store, sizeof(slab[i].store));
+    }
 }
 
 void
 EventQueue::deschedule(Event *event)
 {
     KMU_INVARIANT(event->isScheduled,
-                  "descheduling idle event '%s'", event->name().c_str());
+                  "descheduling idle event '%.*s'",
+                  int(event->eventName.size()), event->eventName.data());
     KMU_INVARIANT(liveEvents > 0,
-                  "live event count underflow descheduling '%s'",
-                  event->name().c_str());
+                  "live event count underflow descheduling '%.*s'",
+                  int(event->eventName.size()), event->eventName.data());
     event->isScheduled = false;
     cancelledSeqs.insert(event->entrySeq); // invalidates the entry
     liveEvents--;
@@ -74,8 +64,9 @@ EventQueue::deschedule(Event *event)
     // scheduler entry is recognised by seq alone, so reuse is safe.
     if (event->ownedByQueue) {
         KMU_INVARIANT(ownedLive > 0,
-                      "owned event count underflow descheduling '%s'",
-                      event->name().c_str());
+                      "owned event count underflow descheduling '%.*s'",
+                      int(event->eventName.size()),
+                      event->eventName.data());
         ownedLive--;
         releaseLambda(static_cast<LambdaEvent *>(event));
     }
@@ -112,30 +103,16 @@ EventQueue::reschedule(Event *event, Tick when)
     schedule(event, when);
 }
 
-LambdaEvent *
-EventQueue::acquireLambda()
-{
-    if (!freeLambdas) {
-        slabs.push_back(std::make_unique<LambdaEvent[]>(slabSize));
-        LambdaEvent *slab = slabs.back().get();
-        for (std::size_t i = slabSize; i-- > 0;) {
-            slab[i].nextFree = freeLambdas;
-            freeLambdas = &slab[i];
-        }
-    }
-    LambdaEvent *ev = freeLambdas;
-    freeLambdas = ev->nextFree;
-    ev->nextFree = nullptr;
-    return ev;
-}
-
 void
-EventQueue::releaseLambda(LambdaEvent *ev)
+EventQueue::growArena()
 {
-    ev->dispose();
-    ev->ownedByQueue = false;
-    ev->nextFree = freeLambdas;
-    freeLambdas = ev;
+    slabs.push_back(std::make_unique<LambdaEvent[]>(slabSize));
+    LambdaEvent *slab = slabs.back().get();
+    for (std::size_t i = slabSize; i-- > 0;) {
+        kmuSanPoisonRegion(slab[i].store, sizeof(slab[i].store));
+        slab[i].next = freeLambdas;
+        freeLambdas = &slab[i];
+    }
 }
 
 void
@@ -157,8 +134,9 @@ EventQueue::servicePeeked(const sched::Entry &entry)
                   (unsigned long long)entry.when,
                   (unsigned long long)now);
     KMU_MODEL_CHECK(ev->scheduledAt == entry.when,
-                    "event '%s' services at %llu but was booked for "
-                    "%llu", ev->name().c_str(),
+                    "event '%.*s' services at %llu but was booked for "
+                    "%llu", int(ev->eventName.size()),
+                    ev->eventName.data(),
                     (unsigned long long)entry.when,
                     (unsigned long long)ev->scheduledAt);
     ladder.popFront();
@@ -174,8 +152,8 @@ EventQueue::servicePeeked(const sched::Entry &entry)
       case Event::Kind::Lambda: {
         auto *le = static_cast<LambdaEvent *>(ev);
         KMU_INVARIANT(ownedLive > 0,
-                      "owned event count underflow servicing '%s'",
-                      le->name().c_str());
+                      "owned event count underflow servicing '%.*s'",
+                      int(le->eventName.size()), le->eventName.data());
         ownedLive--;
         le->invoke();
         // One-shot lambdas are recycled once they have run; a

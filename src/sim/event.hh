@@ -9,12 +9,14 @@
  * are also supported for glue logic.
  *
  * The hot path is allocation-free after warmup: one-shot lambdas live
- * in a slab-recycled arena (LambdaEvent) whose slots keep their name
- * strings' capacity across reuse, callables up to 48 bytes are stored
- * inline without a std::function, and dispatch goes through a kind
- * tag instead of a virtual call. Pending events sit in a ladder
- * (hierarchical calendar) scheduler — see sim/scheduler.hh for the
- * structure and the service-order proof.
+ * in a slab-recycled arena (LambdaEvent), callables up to 64 bytes
+ * are stored inline without a std::function, event names are views
+ * of storage that outlives the event, and dispatch goes through a
+ * kind tag instead of a virtual call. A component may also bind a
+ * continuation into an arena slot without scheduling it (bindLambda),
+ * park the slot, and later schedule it or run it in place (runBound).
+ * Pending events sit in a ladder (hierarchical calendar) scheduler —
+ * see sim/scheduler.hh for the structure and the service-order proof.
  */
 
 #ifndef KMU_SIM_EVENT_HH
@@ -31,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/sanitizer.hh"
 #include "common/types.hh"
 #include "sim/scheduler.hh"
 
@@ -46,6 +49,29 @@ enum class EventPriority : std::int32_t
     Default = 0,
     CpuTick = 10,         //!< core progress after deliveries
     Stats = 100           //!< end-of-tick accounting
+};
+
+/**
+ * Name of a one-shot lambda event: a view of a string literal or of a
+ * string that outlives every event scheduled under it — in practice a
+ * SimObject's cached name member. Nothing is copied per schedule;
+ * binding a temporary std::string is a compile-time error, since the
+ * view would dangle once the statement ends.
+ */
+class EventName
+{
+  public:
+    template <std::size_t N>
+    constexpr EventName(const char (&literal)[N]) : text(literal, N - 1)
+    {
+    }
+    EventName(const std::string &cached) : text(cached) {}
+    EventName(std::string &&) = delete;
+
+    std::string_view view() const { return text; }
+
+  private:
+    std::string_view text;
 };
 
 /**
@@ -68,7 +94,7 @@ class Event
     /** Invoked by the queue when the event's tick arrives. */
     virtual void process() = 0;
 
-    const std::string &name() const { return eventName; }
+    std::string_view name() const { return eventName; }
     EventPriority priority() const { return prio; }
     bool scheduled() const { return isScheduled; }
 
@@ -91,7 +117,8 @@ class Event
   private:
     friend class EventQueue;
 
-    std::string eventName;
+    std::string ownedName;       //!< storage behind a constructed name
+    std::string_view eventName;  //!< ownedName, or an EventName view
     EventPriority prio;
     Kind kind = Kind::Virtual;
     bool isScheduled = false;
@@ -127,28 +154,33 @@ class CallbackEvent : public Event
 };
 
 /**
- * Arena-recycled one-shot event backing EventQueue::scheduleLambda.
+ * Arena-recycled one-shot event backing EventQueue::scheduleLambda
+ * and EventQueue::bindLambda.
  *
  * The callable is stored inline (no std::function, no heap) when it
  * fits `inlineBytes`; larger captures fall back to a single heap
- * allocation. Slots are recycled through a freelist, and the name
- * string keeps its capacity across reuse, so a steady-state schedule/
- * service cycle performs no allocation at all. Only EventQueue
- * creates these; user code never sees the pointer.
+ * allocation. Slots are recycled through a freelist and the name is
+ * a view (EventName), so a steady-state bind/schedule/service cycle
+ * performs no allocation at all. While a slot sits on the freelist
+ * its inline store is poisoned for ASan. Only EventQueue creates
+ * these; components hold the pointer only between bindLambda and
+ * the schedule() or runBound() that hands the slot back.
  */
 class LambdaEvent final : public Event
 {
   public:
-    LambdaEvent() : Event("lambda") { setKind(Kind::Lambda); }
+    LambdaEvent() : Event(std::string()) { setKind(Kind::Lambda); }
 
     ~LambdaEvent() override { dispose(); }
 
     void process() override { invoke(); }
 
+    /** Bytes of callable stored without a heap spill. */
+    static constexpr std::size_t inlineBytes = 64;
+
   private:
     friend class EventQueue;
-
-    static constexpr std::size_t inlineBytes = 48;
+    friend class BoundFifo;
 
     template <typename F>
     void
@@ -201,7 +233,52 @@ class LambdaEvent final : public Event
     void *heapObj = nullptr;
     void (*invokePtr)(LambdaEvent &) = nullptr;
     void (*disposePtr)(LambdaEvent &) = nullptr;
-    LambdaEvent *nextFree = nullptr; //!< arena freelist link
+    /** Freelist link while recycled, BoundFifo link while parked. */
+    LambdaEvent *next = nullptr;
+};
+
+/**
+ * FIFO of bound, unscheduled lambda slots (EventQueue::bindLambda),
+ * linked through the slots themselves, so parking a waiter allocates
+ * nothing. The queue that bound a slot still owns it: popped slots
+ * go back through EventQueue::schedule() or runBound(), and a slot
+ * still parked at queue teardown is destroyed with the arena.
+ */
+class BoundFifo
+{
+  public:
+    bool empty() const { return head == nullptr; }
+    std::size_t size() const { return count; }
+
+    void
+    push(LambdaEvent *ev)
+    {
+        ev->next = nullptr;
+        if (tail)
+            tail->next = ev;
+        else
+            head = ev;
+        tail = ev;
+        ++count;
+    }
+
+    /** Oldest parked slot; the FIFO must not be empty. */
+    LambdaEvent *
+    pop()
+    {
+        LambdaEvent *ev = head;
+        head = ev->next;
+        if (!head)
+            tail = nullptr;
+        ev->next = nullptr;
+        --count;
+        return ev;
+    }
+
+  private:
+    LambdaEvent *head = nullptr;
+    LambdaEvent *tail = nullptr;
+    std::size_t count = 0;
 };
 
 /**
@@ -223,7 +300,28 @@ class EventQueue
     Tick curTick() const { return now; }
 
     /** Schedule @p event at absolute tick @p when (>= curTick()). */
-    void schedule(Event *event, Tick when);
+    void
+    schedule(Event *event, Tick when)
+    {
+        KMU_INVARIANT(!event->isScheduled,
+                      "event '%.*s' scheduled twice",
+                      int(event->eventName.size()),
+                      event->eventName.data());
+        KMU_INVARIANT(when >= now,
+                      "event '%.*s' scheduled in the past (%llu < %llu)",
+                      int(event->eventName.size()),
+                      event->eventName.data(), (unsigned long long)when,
+                      (unsigned long long)now);
+        event->isScheduled = true;
+        event->scheduledAt = when;
+        event->entrySeq = nextSeq;
+        const sched::Entry entry{when, std::int32_t(event->prio),
+                                 nextSeq++, event};
+        ladder.insert(entry);
+        liveEvents++;
+        if (event->ownedByQueue)
+            ownedLive++;
+    }
 
     /** Remove a scheduled event from the queue. */
     void deschedule(Event *event);
@@ -232,24 +330,54 @@ class EventQueue
     void reschedule(Event *event, Tick when);
 
     /**
+     * Bind a one-shot callable into an arena slot without scheduling
+     * it. The slot takes its seq when it is passed to schedule(), not
+     * here, so a waiter parked now keeps the order it would have had
+     * if its callable had been handed over at schedule time. The
+     * caller must eventually schedule() the slot or runBound() it;
+     * a slot never handed back is destroyed at queue teardown.
+     * @p name must outlive the slot (see EventName).
+     */
+    template <typename F>
+    LambdaEvent *
+    bindLambda(F &&fn, EventPriority prio = EventPriority::Default,
+               EventName name = "lambda")
+    {
+        LambdaEvent *ev = acquireLambda();
+        ev->eventName = name.view();
+        ev->prio = prio;
+        ev->bind(std::forward<F>(fn));
+        ev->ownedByQueue = true;
+        return ev;
+    }
+
+    /**
      * Schedule a one-shot callable; the queue owns the backing
      * arena slot and recycles it after the callable runs (or on
-     * deschedule, or at queue destruction if never reached). @p name
-     * is copied into recycled storage — pass a cached string for hot
-     * paths and the call is allocation-free.
+     * deschedule, or at queue destruction if never reached).
      */
     template <typename F>
     void
     scheduleLambda(Tick when, F &&fn,
                    EventPriority prio = EventPriority::Default,
-                   std::string_view name = "lambda")
+                   EventName name = "lambda")
     {
-        LambdaEvent *ev = acquireLambda();
-        ev->eventName.assign(name.data(), name.size());
-        ev->prio = prio;
-        ev->bind(std::forward<F>(fn));
-        ev->ownedByQueue = true;
-        schedule(ev, when);
+        schedule(bindLambda(std::forward<F>(fn), prio, name), when);
+    }
+
+    /**
+     * Run a bound, unscheduled slot now, on the caller's stack, and
+     * recycle it. Not an event service: no seq, no serviced() count.
+     */
+    void
+    runBound(LambdaEvent *ev)
+    {
+        KMU_INVARIANT(ev->ownedByQueue && ev->invokePtr &&
+                          !ev->isScheduled,
+                      "runBound of a released or scheduled slot '%.*s'",
+                      int(ev->eventName.size()), ev->eventName.data());
+        ev->invoke();
+        releaseLambda(ev);
     }
 
     /** True when no runnable events remain. */
@@ -292,10 +420,31 @@ class EventQueue
     void compact();
 
     /** Take a recycled (or fresh) arena slot. */
-    LambdaEvent *acquireLambda();
+    LambdaEvent *
+    acquireLambda()
+    {
+        if (!freeLambdas)
+            growArena();
+        LambdaEvent *ev = freeLambdas;
+        freeLambdas = ev->next;
+        ev->next = nullptr;
+        kmuSanUnpoisonRegion(ev->store, sizeof(ev->store));
+        return ev;
+    }
+
+    /** Thread a fresh slab of slots onto the freelist. */
+    void growArena();
 
     /** Destroy the callable and return the slot to the freelist. */
-    void releaseLambda(LambdaEvent *ev);
+    void
+    releaseLambda(LambdaEvent *ev)
+    {
+        ev->dispose();
+        ev->ownedByQueue = false;
+        kmuSanPoisonRegion(ev->store, sizeof(ev->store));
+        ev->next = freeLambdas;
+        freeLambdas = ev;
+    }
 
     /** Service the entry a successful peek() exposed. */
     void servicePeeked(const sched::Entry &entry);

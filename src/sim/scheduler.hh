@@ -51,6 +51,14 @@ namespace sched
 /** Seqs of descheduled entries not yet dropped from a scheduler. */
 using CancelSet = std::unordered_set<std::uint64_t>;
 
+/** Drop @p seq from @p cancels if it is parked there. The hash is
+ *  skipped while nothing is cancelled, the common case. */
+inline bool
+takeCancelled(CancelSet &cancels, std::uint64_t seq)
+{
+    return !cancels.empty() && cancels.erase(seq) != 0;
+}
+
 /** One pending-event record; the scheduler never touches `event`. */
 struct Entry
 {
@@ -148,7 +156,7 @@ class LadderScheduler
     {
         while (true) {
             while (head < active.size()) {
-                if (cancels.erase(active[head].seq)) {
+                if (takeCancelled(cancels, active[head].seq)) {
                     ++head;
                     --count;
                     continue;
@@ -387,7 +395,7 @@ class LadderScheduler
                 active.clear();
                 head = 0;
                 for (const Entry &e : vec) {
-                    if (cancels.erase(e.seq))
+                    if (takeCancelled(cancels, e.seq))
                         --count;
                     else
                         active.push_back(e);
@@ -473,7 +481,7 @@ class LadderScheduler
             active.clear();
             head = 0;
             for (const Entry &e : vec) {
-                if (cancels.erase(e.seq))
+                if (takeCancelled(cancels, e.seq))
                     --count;
                 else
                     active.push_back(e);
@@ -500,7 +508,7 @@ class LadderScheduler
         to.pos = 0;
         frontEnd = to.winStart;
         for (const Entry &e : vec) {
-            if (cancels.erase(e.seq)) {
+            if (takeCancelled(cancels, e.seq)) {
                 --count;
                 continue;
             }
@@ -528,7 +536,7 @@ class LadderScheduler
         // could still land in a stale finer-rung window — serviced
         // after it, breaking the exact order.
         auto dead = [&](const Entry &e) {
-            if (cancels.erase(e.seq)) {
+            if (takeCancelled(cancels, e.seq)) {
                 --count;
                 return true;
             }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event.hh"
@@ -14,6 +16,12 @@ namespace kmu
 {
 namespace
 {
+
+// Event names are views: a temporary std::string would dangle, so
+// only literals and lvalue strings bind.
+static_assert(std::is_constructible_v<EventName, const std::string &>);
+static_assert(std::is_constructible_v<EventName, const char (&)[5]>);
+static_assert(!std::is_constructible_v<EventName, std::string &&>);
 
 class RecordingEvent : public Event
 {
@@ -24,7 +32,7 @@ class RecordingEvent : public Event
     {
     }
 
-    void process() override { log.push_back(name()); }
+    void process() override { log.emplace_back(name()); }
 
   private:
     std::vector<std::string> &log;
@@ -261,7 +269,7 @@ TEST_P(EventQueueTest, CompactionPreservesOrdering)
             "live" + std::to_string(i), log));
         // Same tick for pairs exercises the seq tie-break.
         eq.schedule(live.back().get(), Tick(10 + i / 2));
-        expect.push_back(live.back()->name());
+        expect.emplace_back(live.back()->name());
     }
     for (int i = 0; i < 200; ++i) {
         dead.push_back(std::make_unique<RecordingEvent>("dead", log));
@@ -330,6 +338,35 @@ TEST_P(EventQueueDeathTest, DoubleSchedulePanics)
     eq.schedule(&a, 10);
     EXPECT_DEATH(eq.schedule(&a, 20), "twice");
     eq.deschedule(&a);
+}
+
+TEST_P(EventQueueDeathTest, RunBoundOfReleasedSlotPanics)
+{
+    EventQueue eq;
+    LambdaEvent *slot = eq.bindLambda([] {});
+    eq.runBound(slot);
+    EXPECT_DEATH(eq.runBound(slot), "released or scheduled");
+}
+
+TEST_P(EventQueueDeathTest, ReadOfReleasedSlotIsReportedByAsan)
+{
+#if KMU_ASAN_ENABLED
+    EventQueue eq;
+    LambdaEvent *slot = eq.bindLambda([] {});
+    eq.runBound(slot); // the slot's inline store is poisoned again
+    const auto *bytes =
+        reinterpret_cast<const volatile unsigned char *>(slot);
+    EXPECT_DEATH(
+        {
+            unsigned sum = 0;
+            for (std::size_t i = 0; i < sizeof(LambdaEvent); ++i)
+                sum += bytes[i];
+            (void)sum;
+        },
+        "use-after-poison");
+#else
+    GTEST_SKIP() << "the arena's poisoning is visible under ASan only";
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, EventQueueDeathTest,
