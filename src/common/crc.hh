@@ -8,8 +8,14 @@
  * the DMA-written buffer before trusting the data. A mismatch means
  * the payload was corrupted between the device's backing store and
  * host memory (provoked by the ResponseBitFlip fault site), and the
- * access must be re-issued. Software table-driven implementation —
- * 64 bytes per access is far off any hot path we measure.
+ * access must be re-issued.
+ *
+ * Both sides run it on every SW-queue read, so it sits on the round
+ * trip twice. On x86-64 CPUs with SSE4.2 it uses the `crc32`
+ * instruction, 8 bytes per step; elsewhere a bytewise table. The path
+ * is chosen once, from the CPU's feature bits; both give identical
+ * values. One 64 B line costs ~150 ns with the table and ~14 ns with
+ * the instruction (4-vCPU Xeon VM, back-to-back dependent calls).
  */
 
 #ifndef KMU_COMMON_CRC_HH

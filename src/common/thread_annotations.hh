@@ -29,6 +29,9 @@
 #ifndef KMU_COMMON_THREAD_ANNOTATIONS_HH
 #define KMU_COMMON_THREAD_ANNOTATIONS_HH
 
+#include <atomic>
+#include <cstdint>
+
 #if defined(__clang__) && defined(__has_attribute)
 #  if __has_attribute(capability)
 #    define KMU_THREAD_ANNOTATION(x) __attribute__((x))
@@ -99,6 +102,19 @@
 
 namespace kmu
 {
+
+/**
+ * Increment a counter whose KMU_ATOMIC_ROLE names a single writer: a
+ * relaxed load and store instead of a locked read-modify-write. Only
+ * the owning thread may call it; readers elsewhere still see whole
+ * values, each one a count the writer reached.
+ */
+inline void
+bumpSingleWriter(std::atomic<std::uint64_t> &counter)
+{
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+}
 
 /**
  * Zero-size capability token for a single-owner role (producer side,

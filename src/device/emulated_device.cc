@@ -114,7 +114,7 @@ EmulatedDevice::pump()
     const auto now = Clock::now();
     for (auto &pair : pairs)
         busy |= servicePair(*pair, now);
-    passes.fetch_add(1, std::memory_order_relaxed);
+    bumpSingleWriter(passes);
     return busy;
 }
 
@@ -132,7 +132,7 @@ EmulatedDevice::serviceLoop()
             busy |= servicePair(*pair, now);
             draining |= !pair->inFlight.empty();
         }
-        passes.fetch_add(1, std::memory_order_relaxed);
+        bumpSingleWriter(passes);
 
         if (stopping && !draining)
             return;
@@ -171,8 +171,8 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
     }
 
     if (!pair.parked.load(std::memory_order_acquire)) {
-        std::vector<RequestDescriptor> burst;
-        burst.reserve(descriptorBurst);
+        std::vector<RequestDescriptor> &burst = pair.burst;
+        burst.clear();
         // Truncation fault: the burst DMA read is cut short. Unread
         // descriptors stay in the ring for the next pass.
         std::size_t slots = descriptorBurst;
@@ -223,7 +223,7 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
                         pair.replayCheck->lookup(
                             lineAlign(desc.deviceAddr)) ==
                             ReplayWindow::Result::Miss)
-                        spurious.fetch_add(1, std::memory_order_relaxed);
+                        bumpSingleWriter(spurious);
                 }
                 // Brownout: the sick shard still serves, but every
                 // request runs magnitude× slow for the window the
@@ -262,7 +262,7 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
     while (!pair.inFlight.empty() && isReady(pair.inFlight.front())) {
         const Pending &pending = pair.inFlight.front();
         completeRequest(pair, pending.desc);
-        serviced.fetch_add(1, std::memory_order_relaxed);
+        bumpSingleWriter(serviced);
         pair.inFlight.pop_front();
         busy = true;
     }

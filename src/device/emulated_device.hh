@@ -146,13 +146,17 @@ class EmulatedDevice
     struct Pair
     {
         Pair(std::size_t depth, std::uint16_t lane)
-            : queues(depth), traceLane(lane) {}
+            : queues(depth), traceLane(lane)
+        {
+            burst.reserve(descriptorBurst);
+        }
 
         SwQueuePair queues;
         std::uint16_t traceLane; //!< trace track (= pair index)
         std::deque<Pending> inFlight;
-        std::atomic<bool> parked
-            KMU_ATOMIC_ROLE(host_clears, device_writes, device_reads){true};
+        /** The service pass's fetched descriptors, reused across
+         *  passes so a pass allocates nothing. */
+        std::vector<RequestDescriptor> burst;
         std::unique_ptr<ReplayWindow> replayCheck;
         std::vector<Addr> recordedSequence;
         std::size_t replayCursor = 0;
@@ -163,6 +167,10 @@ class EmulatedDevice
          *  the step (manual) / time point (threaded) passes. */
         std::uint64_t hangUntilStep = 0;
         Clock::time_point hangUntil{};
+        /** Written by every doorbell, so on a line of its own: the
+         *  host's stores do not evict the device's pair state. */
+        alignas(64) std::atomic<bool> parked
+            KMU_ATOMIC_ROLE(host_clears, device_writes, device_reads){true};
     };
 
     /** Device thread main loop. */
@@ -186,13 +194,17 @@ class EmulatedDevice
     std::thread serviceThread;
     std::atomic<bool> stopRequested
         KMU_ATOMIC_ROLE(host_writes, device_reads){false};
+    // The counters below have one writer, the service pass, which
+    // bumps them with bumpSingleWriter.
     std::atomic<std::uint64_t> serviced
         KMU_ATOMIC_ROLE(device_writes, observers_read){0};
     std::atomic<std::uint64_t> spurious
         KMU_ATOMIC_ROLE(device_writes, observers_read){0};
-    std::atomic<std::uint64_t> passes
-        KMU_ATOMIC_ROLE(device_writes, host_reads){0};
     std::uint64_t step = 0; //!< manual-mode virtual clock
+    /** The host's watchdog reads this on every poll: its own line, so
+     *  the poll does not pull the device's other state across. */
+    alignas(64) std::atomic<std::uint64_t> passes
+        KMU_ATOMIC_ROLE(device_writes, host_reads){0};
 };
 
 } // namespace kmu

@@ -12,28 +12,46 @@
  * Capacity must be a power of two. One slot is sacrificed to
  * distinguish full from empty.
  *
+ * Layout: one cache line per side. The producer line holds head,
+ * pushes and rejects, plus the producer's cached view of tail and
+ * pops; the consumer line holds tail and pops, plus its cached view
+ * of head and pushes. A side writes only its own line and reads the
+ * other side's only when its cached view says the ring is full (the
+ * producer) or empty (the consumer), so in steady state a push or pop
+ * touches one line the other thread writes: the slot itself.
+ *
  * Memory-ordering audit (the two synchronization edges):
  *
  *  1. producer publishes a slot:   slots[h] = v;  head.store(release)
  *     consumer observes it:        head.load(acquire);  read slots[t]
  *     The release/acquire pair on `head` guarantees the slot write
  *     is visible before the consumer can see the advanced head, so
- *     the consumer never reads a half-written slot.
+ *     the consumer never reads a half-written slot. A cached head
+ *     was obtained by such an acquire load, so every slot below it
+ *     stays safe to read for as long as the cache is used.
  *
  *  2. consumer retires a slot:     out = slots[t];  tail.store(release)
  *     producer observes it:        tail.load(acquire);  write slots[h]
  *     The release/acquire pair on `tail` guarantees the consumer has
  *     fully read a slot before the producer can see the advanced tail
- *     and overwrite it.
+ *     and overwrite it. A cached tail only lags the live one, so it
+ *     can make the ring look fuller than it is (the producer then
+ *     refreshes), never let the producer overwrite an unread slot.
  *
  *  Each side loads its *own* index relaxed (single writer: the value
  *  is always its own last store, so no synchronization is needed).
- *  The cumulative push/pop counters piggyback on the same two edges:
- *  each side bumps its counter *before* its index release-store, so
- *  the opposite side's acquire load makes the counter value current
- *  enough for the occupancy invariants below to be exact bounds
- *  (a stale opposite counter only ever weakens the check toward
- *  passing, never toward a false positive).
+ *  Each cumulative counter has one writer too, so it is bumped with a
+ *  relaxed load and store (no locked read-modify-write), before that
+ *  side's index release-store. A refresh acquire-loads the other
+ *  side's index and then reads its counter, so the cached counter is
+ *  at least the count that index stands for. The occupancy checks
+ *  compare against the cached counter; it can only lag the live one,
+ *  so they are at least as strict as checks against the live counter
+ *  and still hold in a correct ring:
+ *   - producer: pushes - cachedPops <= capacity, because a push
+ *     succeeds only while the cached tail leaves a free slot;
+ *   - consumer: pops <= cachedPushes, because a pop succeeds only
+ *     below the cached head.
  *
  *  size() uses two acquire loads but still only yields a snapshot:
  *  exact when single-threaded, approximate (bounded by capacity)
@@ -88,20 +106,23 @@ class SpscRing
         KMU_INVARIANT(h < slots.size(),
                       "ring head index %zu out of range", h);
         const std::size_t next = (h + 1) & mask;
-        if (next == tail.load(std::memory_order_acquire)) {
-            rejects.fetch_add(1, std::memory_order_relaxed);
-            return false;
+        if (next == tailCache) {
+            // Full by the cached view: refresh it (edge 2).
+            tailCache = tail.load(std::memory_order_acquire);
+            popsCache = pops.load(std::memory_order_relaxed);
+            if (next == tailCache) {
+                bumpSingleWriter(rejects);
+                return false;
+            }
         }
         slots[h] = value;
-        pushes.fetch_add(1, std::memory_order_relaxed);
+        bumpSingleWriter(pushes);
         head.store(next, std::memory_order_release);
-        // pops lags at most to the tail value acquired above, so this
-        // bound can only be loose in the passing direction.
-        KMU_MODEL_CHECK(
-            pushes.load(std::memory_order_relaxed) -
-                    pops.load(std::memory_order_relaxed) <=
-                capacity(),
-            "ring occupancy exceeds capacity %zu", capacity());
+        KMU_MODEL_CHECK(pushes.load(std::memory_order_relaxed) -
+                                popsCache <=
+                            capacity(),
+                        "ring occupancy exceeds capacity %zu",
+                        capacity());
         return true;
     }
 
@@ -112,15 +133,18 @@ class SpscRing
         const std::size_t t = tail.load(std::memory_order_relaxed);
         KMU_INVARIANT(t < slots.size(),
                       "ring tail index %zu out of range", t);
-        if (t == head.load(std::memory_order_acquire))
-            return false;
+        if (t == headCache) {
+            // Empty by the cached view: refresh it (edge 1).
+            headCache = head.load(std::memory_order_acquire);
+            pushesCache = pushes.load(std::memory_order_relaxed);
+            if (t == headCache)
+                return false;
+        }
         out = slots[t];
-        pops.fetch_add(1, std::memory_order_relaxed);
+        bumpSingleWriter(pops);
         tail.store((t + 1) & mask, std::memory_order_release);
-        // pushes is at least the value acquired via head above, so a
-        // stale read only weakens the check toward passing.
         KMU_MODEL_CHECK(pops.load(std::memory_order_relaxed) <=
-                            pushes.load(std::memory_order_relaxed),
+                            pushesCache,
                         "ring popped more items than were pushed");
         return true;
     }
@@ -179,22 +203,27 @@ class SpscRing
   private:
     std::vector<T> slots;
     std::size_t mask;
+
+    // Producer line. The cumulative counters mirror the indices
+    // without the wrap, making conservation (pops <= pushes <= pops +
+    // capacity) checkable. rejects is a statistic: observers read it
+    // only at quiesce or as a monotonic count.
     alignas(64) std::atomic<std::size_t> head
         KMU_ATOMIC_ROLE(producer_writes, both_read){0};
+    std::atomic<std::uint64_t> pushes
+        KMU_ATOMIC_ROLE(producer_writes, both_read){0};
+    std::atomic<std::uint64_t> rejects
+        KMU_ATOMIC_ROLE(producer_writes, observers_read){0};
+    std::size_t tailCache KMU_GUARDED_BY(producerRole) = 0;
+    std::uint64_t popsCache KMU_GUARDED_BY(producerRole) = 0;
+
+    // Consumer line.
     alignas(64) std::atomic<std::size_t> tail
         KMU_ATOMIC_ROLE(consumer_writes, both_read){0};
-    // Cumulative counters mirror head/tail without the wrap, making
-    // conservation (pops <= pushes <= pops + capacity) checkable.
-    // Written only by their owning side, before that side's
-    // release-store (see the ordering audit above).
-    alignas(64) std::atomic<std::uint64_t> pushes
-        KMU_ATOMIC_ROLE(producer_writes, both_read){0};
-    alignas(64) std::atomic<std::uint64_t> pops
+    std::atomic<std::uint64_t> pops
         KMU_ATOMIC_ROLE(consumer_writes, both_read){0};
-    // Producer-owned like pushes; relaxed is enough (observers only
-    // read it at quiesce or as a monotonic statistic).
-    alignas(64) std::atomic<std::uint64_t> rejects
-        KMU_ATOMIC_ROLE(producer_writes, observers_read){0};
+    std::size_t headCache KMU_GUARDED_BY(consumerRole) = 0;
+    std::uint64_t pushesCache KMU_GUARDED_BY(consumerRole) = 0;
 };
 
 } // namespace kmu

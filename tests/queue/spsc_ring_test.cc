@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -126,24 +128,28 @@ TEST(SpscRingTest, ThreadedProducerConsumer)
     EXPECT_EQ(sum, total * (total - 1) / 2);
 }
 
-TEST(SpscRingTest, ThreadedStressMultiWordPayload)
+/**
+ * One run of the multi-word stress: @p total items through @p depth
+ * slots. Pauses on each side force every branch of the cached-view
+ * refresh: once per sixth of the items the consumer stops until the
+ * producer has been rejected on a full ring, and the producer stops
+ * until the consumer has found the ring empty. The pauses sit half a
+ * period apart and the ring holds fewer than half a period, so the
+ * two never wait on each other.
+ */
+void
+stressMultiWordPayload(std::size_t depth, std::uint64_t total)
 {
-    // Heavier cross-thread exercise of the release/acquire edges
-    // documented in spsc_ring.hh: a multi-word payload would tear if
-    // a slot were visible before fully written (edge 1) or recycled
-    // before fully read (edge 2). Bursty pacing (derived from mix64,
-    // so deterministic) forces frequent full/empty transitions, the
-    // regime where stale-index bugs surface. Run under
-    // KMU_SANITIZE=thread this doubles as the TSan proof for the
-    // ring.
     struct Payload
     {
         std::uint64_t seq;
         std::uint64_t a, b, c;
     };
-    SpscRing<Payload> ring(8); // tiny: maximizes wraparound pressure
-    constexpr std::uint64_t total = 100000;
+    SpscRing<Payload> ring(depth);
+    const std::uint64_t pauseEvery = total / 6;
+    ASSERT_GT(pauseEvery / 2, ring.capacity());
 
+    std::atomic<std::uint64_t> emptyPops{0}; // consumer-side count
     std::uint64_t attempts = 0; // producer-side push-call count
     std::thread producer([&]() {
         RoleGuard produce(ring.producerRole); // this thread: producer
@@ -155,9 +161,14 @@ TEST(SpscRingTest, ThreadedStressMultiWordPayload)
                 const Payload p{i, mix64(i), mix64(i ^ 0xabcdef),
                                 ~i};
                 ++attempts;
-                if (ring.tryPush(p)) {
-                    ++i;
-                    ++k;
+                if (!ring.tryPush(p))
+                    continue;
+                ++i;
+                ++k;
+                if (i % pauseEvery == 0 && i < total) {
+                    const std::uint64_t seen = emptyPops.load();
+                    while (emptyPops.load() == seen)
+                        std::this_thread::yield();
                 }
             }
             std::this_thread::yield();
@@ -169,6 +180,7 @@ TEST(SpscRingTest, ThreadedStressMultiWordPayload)
     while (expect < total) {
         Payload v;
         if (!ring.tryPop(v)) {
+            emptyPops.fetch_add(1);
             std::this_thread::yield();
             continue;
         }
@@ -177,6 +189,12 @@ TEST(SpscRingTest, ThreadedStressMultiWordPayload)
         ASSERT_EQ(v.b, mix64(expect ^ 0xabcdef));
         ASSERT_EQ(v.c, ~expect);
         ++expect;
+        if (expect % pauseEvery == pauseEvery / 2 &&
+            total - expect > ring.capacity()) {
+            const std::uint64_t seen = ring.totalRejects();
+            while (ring.totalRejects() == seen)
+                std::this_thread::yield();
+        }
     }
     producer.join();
 
@@ -188,11 +206,87 @@ TEST(SpscRingTest, ThreadedStressMultiWordPayload)
     EXPECT_EQ(ring.totalPops(), total);
     EXPECT_EQ(ring.totalPushes() + ring.totalRejects(), attempts);
     EXPECT_EQ(ring.totalPops(), ring.totalPushes());
-    // Tiny ring + bursty producer: backpressure must actually have
-    // been exercised, otherwise this test proves nothing about the
-    // full path.
+    // Both sides confirmed a full / empty ring on refresh, and went
+    // on after it: the refresh found room / items again.
     EXPECT_GT(ring.totalRejects(), 0u);
+    EXPECT_GT(emptyPops.load(), 0u);
     EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRingTest, ThreadedStressMultiWordPayload)
+{
+    // Heavier cross-thread exercise of the release/acquire edges
+    // documented in spsc_ring.hh: a multi-word payload would tear if
+    // a slot were visible before fully written (edge 1) or recycled
+    // before fully read (edge 2). Bursty pacing (derived from mix64,
+    // so deterministic) forces frequent full/empty transitions, the
+    // regime where stale-index bugs surface. Eight slots carry the
+    // long run. Two slots refresh the cached view on nearly every
+    // call, so a sixteenth of the items exercises that as often (and
+    // every item is a thread handoff, slow when the CPUs are
+    // oversubscribed); 256 slots let the cached view run far behind
+    // the live index between refreshes. Run under
+    // KMU_SANITIZE=thread this doubles as the TSan proof for the
+    // ring.
+    const std::pair<std::size_t, std::uint64_t> runs[] = {
+        {8, 100000}, {2, 6000}, {256, 100000}};
+    for (const auto &[depth, total] : runs) {
+        SCOPED_TRACE(testing::Message() << "depth " << depth);
+        stressMultiWordPayload(depth, total);
+    }
+}
+
+TEST(SpscRingTest, PopAfterEmptyPopSeesInterveningPush)
+{
+    SpscRing<int> ring(4);
+    // Single-threaded driver: embodies both ring roles.
+    RoleGuard producer(ring.producerRole);
+    RoleGuard consumer(ring.consumerRole);
+    int out = -1;
+    // Several rounds, so the indices wrap and each round's empty pop
+    // leaves a cached head the next push makes stale.
+    for (int round = 0; round < 6; ++round) {
+        EXPECT_FALSE(ring.tryPop(out));
+        ASSERT_TRUE(ring.tryPush(round));
+        ASSERT_TRUE(ring.tryPop(out));
+        EXPECT_EQ(out, round);
+    }
+    // A refresh picks up everything pushed since, not just one item.
+    EXPECT_FALSE(ring.tryPop(out));
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(ring.tryPush(10 + i));
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(ring.tryPop(out));
+        EXPECT_EQ(out, 10 + i);
+    }
+    EXPECT_FALSE(ring.tryPop(out));
+    EXPECT_EQ(ring.totalPops(), ring.totalPushes());
+}
+
+TEST(SpscRingTest, PushAfterRejectedPushSeesInterveningPop)
+{
+    SpscRing<int> ring(4); // capacity 3
+    // Single-threaded driver: embodies both ring roles.
+    RoleGuard producer(ring.producerRole);
+    RoleGuard consumer(ring.consumerRole);
+    int next = 0;
+    int out = -1;
+    std::uint64_t rejected = 0;
+    for (int round = 0; round < 6; ++round) {
+        while (ring.tryPush(next))
+            next++;
+        rejected++; // exactly the call that found the ring full
+        EXPECT_EQ(ring.totalRejects(), rejected);
+        // Free one slot: the next push must see it, not the cached
+        // full view, and must not count as a reject.
+        ASSERT_TRUE(ring.tryPop(out));
+        EXPECT_TRUE(ring.tryPush(next++));
+        EXPECT_EQ(ring.totalRejects(), rejected);
+    }
+    EXPECT_EQ(ring.totalPushes(), std::uint64_t(next));
+    // Attempts conserve: pushes + rejects = push calls made.
+    EXPECT_EQ(ring.totalPushes() + ring.totalRejects(),
+              std::uint64_t(next) + rejected);
 }
 
 TEST(SpscRingTest, RejectCounterCountsFullPushes)
