@@ -77,11 +77,8 @@ serializeRunResult(const RunResult &res)
     putU64(out, res.shardCount);
     putU64(out, res.shardRequestsMin);
     putU64(out, res.shardRequestsMax);
-    putU64(out, res.healthDegraded);
-    putU64(out, res.healthQuarantines);
-    putU64(out, res.healthRecoveries);
-    putU64(out, res.failovers);
-    putU64(out, res.deadlineErrors);
+    for (std::size_t i = 0; i < runResultWireReservedWords; ++i)
+        putU64(out, 0);
     putU64(out, res.serveOffered);
     putU64(out, res.serveCompleted);
     putU64(out, res.serveSloMet);
@@ -130,11 +127,11 @@ deserializeRunResult(const std::uint8_t *data, std::size_t size,
     r.shardCount = std::uint32_t(getU64(p)); p += 8;
     r.shardRequestsMin = getU64(p); p += 8;
     r.shardRequestsMax = getU64(p); p += 8;
-    r.healthDegraded = getU64(p); p += 8;
-    r.healthQuarantines = getU64(p); p += 8;
-    r.healthRecoveries = getU64(p); p += 8;
-    r.failovers = getU64(p); p += 8;
-    r.deadlineErrors = getU64(p); p += 8;
+    for (std::size_t i = 0; i < runResultWireReservedWords; ++i) {
+        if (getU64(p) != 0)
+            return false;
+        p += 8;
+    }
     r.serveOffered = getU64(p); p += 8;
     r.serveCompleted = getU64(p); p += 8;
     r.serveSloMet = getU64(p); p += 8;

@@ -39,20 +39,6 @@ SimSystem::SimSystem(SystemConfig config)
               "shard count %u out of [1, %u]", cfg.topo.shards,
               topo::maxShards);
 
-    if (cfg.health.mode != health::Mode::Off) {
-        kmuAssert(cfg.backing == Backing::Device,
-                  "health control plane needs a device to watch");
-        kmuAssert(cfg.mechanism == Mechanism::SwQueue ||
-                      cfg.attach == DeviceAttach::Pcie,
-                  "health control plane is per-shard; the memory-bus "
-                  "attach has no shards to fail over");
-        healthCtrl = std::make_unique<health::RecoveryController>(
-            cfg.health, cfg.topo.shards);
-        healthBase.resize(cfg.topo.shards);
-        healthPeriod = Tick(cfg.health.epochPolls) * cfg.pollCost;
-        kmuAssert(healthPeriod > 0, "health epoch must span time");
-    }
-
     dram = std::make_unique<DramModel>("dram", eq, cfg.dram, &root);
     readLatency = std::make_unique<Average>(
         root, "read_latency_ns", "issue-to-fill read latency");
@@ -120,12 +106,6 @@ SimSystem::buildServing()
 
 SimSystem::~SimSystem() = default;
 
-PcieLink *
-SimSystem::pcieLink(std::size_t s)
-{
-    return s < links.size() ? links[s].get() : nullptr;
-}
-
 UncoreQueue *
 SimSystem::chipQueue(std::size_t s)
 {
@@ -136,12 +116,6 @@ DeviceEmulator *
 SimSystem::deviceEmulator(std::size_t s)
 {
     return s < devices.size() ? devices[s].get() : nullptr;
-}
-
-RequestFetcher *
-SimSystem::fetcher(std::size_t i)
-{
-    return i < fetchers.size() ? fetchers[i].get() : nullptr;
 }
 
 void
@@ -204,12 +178,7 @@ SimSystem::buildMemoryMapped()
         } else if (to_device) {
             issue = [this, c](Addr line) {
                 const Tick issued = eq.curTick();
-                const std::uint32_t natural =
-                    topo::shardOf(line, cfg.topo);
-                const std::uint32_t s =
-                    healthCtrl ? healthCtrl->route(
-                                     natural, line / cacheLineSize)
-                               : natural;
+                const std::uint32_t s = topo::shardOf(line, cfg.topo);
                 chipQueues[s]->acquire([this, c, s, line, issued]() {
                     devices[s]->hostRead(
                         c, line, [this, c, s, line, issued]() {
@@ -291,15 +260,6 @@ SimSystem::buildSwQueue()
         cores.push_back(std::make_unique<SwQueueCore>(
             csprintf("core%u", c), eq, c, cfg, std::move(pairs),
             std::move(rings), &root));
-        if (healthCtrl) {
-            health::RecoveryController *hc = healthCtrl.get();
-            static_cast<SwQueueCore &>(*cores.back())
-                .setShardRouter(
-                    [hc](std::uint32_t natural, Addr line) {
-                        return hc->route(natural,
-                                         line / cacheLineSize);
-                    });
-        }
     }
 }
 
@@ -329,20 +289,10 @@ SimSystem::buildChecker()
     });
     checker->addCheck("chip_queue_conservation", [this]() {
         for (auto &chip : chipQueues) {
-            // The health controller's DEGRADED effect shrinks the
-            // slice without evicting holders, so occupancy may
-            // transiently exceed the *current* capacity — but never
-            // the full configured slice every grant was checked
-            // against.
-            const std::uint32_t bound =
-                healthCtrl ? std::max(chip->capacity(),
-                                      topo::chipQueueSlice(
-                                          cfg.chipPcieQueue, cfg.topo))
-                           : chip->capacity();
-            KMU_INVARIANT(chip->inUse() <= bound,
+            KMU_INVARIANT(chip->inUse() <= chip->capacity(),
                           "%s holds %u slots, capacity %u",
                           chip->name().c_str(), chip->inUse(),
-                          bound);
+                          chip->capacity());
             KMU_MODEL_CHECK(
                 chip->entries.value() - chip->totalReleases() ==
                     chip->inUse(),
@@ -379,63 +329,6 @@ SimSystem::buildChecker()
                 "completion ring popped more than was pushed");
         }
     });
-}
-
-void
-SimSystem::healthEpoch()
-{
-    const std::uint32_t shards = cfg.topo.shards;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        // Gather the shard's cumulative signal sources and delta
-        // them against the previous epoch. The timing model has no
-        // watchdog, so retries/oldestAge stay zero — the stuck
-        // detector (queued work, zero completions) is what catches a
-        // hung shard here.
-        std::uint64_t completions = 0, rejects = 0, depth = 0;
-        if (!devices.empty()) {
-            completions = devices[s]->responsesSent.value();
-            rejects = chipQueues[s]->fullStalls.value();
-            depth = chipQueues[s]->inUse() + chipQueues[s]->waiting();
-        } else {
-            for (CoreId c = 0; c < cfg.numCores; ++c) {
-                RequestFetcher *f = fetchers[c * shards + s].get();
-                completions += f->responses.value();
-                SwQueuePair *pair = queuePairs[c * shards + s].get();
-                rejects += pair->requestRing().totalRejects();
-                depth += pair->pendingRequests();
-            }
-        }
-        health::ShardSignals sig;
-        sig.completions = completions - healthBase[s].completions;
-        sig.rejects = rejects - healthBase[s].rejects;
-        sig.queueDepth = depth;
-        healthBase[s].completions = completions;
-        healthBase[s].rejects = rejects;
-
-        const health::ShardState before = healthCtrl->state(s);
-        const health::ShardState after =
-            healthCtrl->sampleEpoch(s, sig);
-        if (after == before)
-            continue;
-        trace::instant(trace::Kind::HealthState, s, healthLane,
-                       std::uint32_t(after));
-        // DEGRADED effect on the memory-mapped path: halve the
-        // shard's chip-queue slice (shed optimism, keep serving);
-        // restore it on full recovery. The software-queue path has
-        // no hardware queue to shrink — its effect is routing only.
-        if (!chipQueues.empty()) {
-            const std::uint32_t full =
-                topo::chipQueueSlice(cfg.chipPcieQueue, cfg.topo);
-            chipQueues[s]->setCapacity(
-                after == health::ShardState::Healthy
-                    ? full
-                    : std::max<std::uint32_t>(1, full / 2));
-        }
-    }
-    healthCtrl->endEpoch();
-    eq.scheduleLambda(eq.curTick() + healthPeriod,
-                      [this]() { healthEpoch(); },
-                      EventPriority::Default, "health.epoch");
 }
 
 void
@@ -523,22 +416,12 @@ SimSystem::enableTracing(trace::TraceBuffer &buf, Tick samplePeriod)
                          base + ".to_host");
     }
 
-    // HealthState instants get their own lane after every component
-    // block (only ever allocated when the controller exists, so the
-    // health-off lane layout is untouched).
-    if (healthCtrl) {
-        healthLane = std::uint16_t(n + 1 + 3 * shards +
-                                   (shards > 1 ? shards * n : 0));
-        buf.registerName(trace::trackNameKey(healthLane), "health");
-    }
-
     // Request spans get a lane of their own after everything else
     // (allocated only in serving mode, so the closed-loop lane
     // layout is untouched).
     if (serving) {
         const auto serveLane = std::uint16_t(
-            n + 1 + 3 * shards + (shards > 1 ? shards * n : 0) +
-            (healthCtrl ? 1 : 0));
+            n + 1 + 3 * shards + (shards > 1 ? shards * n : 0));
         serving->setTraceLane(serveLane);
         buf.registerName(trace::trackNameKey(serveLane), "serve");
     }
@@ -585,10 +468,6 @@ SimSystem::run()
     ran = true;
 
     checker->start();
-    if (healthCtrl) {
-        eq.scheduleLambda(healthPeriod, [this]() { healthEpoch(); },
-                          EventPriority::Default, "health.epoch");
-    }
     if (serving)
         serving->start();
     for (auto &core : cores) {
@@ -684,17 +563,6 @@ SimSystem::run()
             res.shardRequestsMax =
                 std::max(res.shardRequestsMax, reqs);
         }
-    }
-
-    if (healthCtrl) {
-        const health::RecoveryController::Counters &hc =
-            healthCtrl->counters();
-        res.healthDegraded = hc.degradations;
-        res.healthQuarantines = hc.quarantines;
-        res.healthRecoveries = hc.recoveries;
-        res.failovers = hc.failovers;
-        // deadlineErrors stays 0: per-request deadlines are the
-        // real-time engine's effect (see RunResult).
     }
 
     if (serving) {

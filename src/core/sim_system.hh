@@ -91,21 +91,6 @@ struct RunResult
     /** @} */
 
     /** @{
-     * Health control plane totals (src/health), warmup included;
-     * all zero when cfg.health.mode == Off. deadlineErrors is the
-     * engine-level Full-mode effect, which exists in the real-time
-     * runtime only — the field is carried here (and in the wire
-     * format) so campaign CSVs share one schema, and is always 0 in
-     * timing-model results.
-     */
-    std::uint64_t healthDegraded = 0;    //!< HEALTHY→DEGRADED flips
-    std::uint64_t healthQuarantines = 0; //!< DEGRADED→QUARANTINED
-    std::uint64_t healthRecoveries = 0;  //!< DEGRADED→HEALTHY
-    std::uint64_t failovers = 0;         //!< requests re-routed away
-    std::uint64_t deadlineErrors = 0;    //!< reserved; 0 in the sim
-    /** @} */
-
-    /** @{
      * Open-loop serving mode (src/serve); all zero with
      * serve.arrival == Off. Counts cover the measurement window:
      * offered = arrivals, completed = retirements (under overload
@@ -174,25 +159,15 @@ class SimSystem
     /** @{ Component access for tests.
      * The zero-arg accessors return shard 0's component (the only
      * one in a single-device system); the indexed overloads address
-     * one shard of a sharded topology. Software-queue fetchers and
-     * queue pairs are laid out core-major: index core * shards +
-     * shard. */
+     * one shard of a sharded topology. */
     EventQueue &eventQueue() { return eq; }
     const SystemConfig &config() const { return cfg; }
     CoreBase &core(std::size_t i) { return *cores.at(i); }
-    std::size_t coreCount() const { return cores.size(); }
     std::uint32_t shardCount() const { return cfg.topo.shards; }
-    PcieLink *pcieLink(std::size_t s = 0);
     UncoreQueue *chipQueue(std::size_t s = 0);
     DeviceEmulator *deviceEmulator(std::size_t s = 0);
-    RequestFetcher *fetcher(std::size_t i);
     StatGroup &stats() { return root; }
     SimChecker &invariantChecker() { return *checker; }
-    health::RecoveryController *healthController()
-    {
-        return healthCtrl.get();
-    }
-    serve::ServeDriver *serveDriver() { return serving.get(); }
     /** @} */
 
   private:
@@ -207,17 +182,6 @@ class SimSystem
     /** Iteration streams per core (SMT contexts for on-demand, ULT
      *  threads otherwise) — the serving lane geometry. */
     std::uint32_t lanesPerCore() const;
-
-    /** Close one health epoch: gather per-shard signals, sample the
-     *  controller, apply state effects, re-arm the epoch event. */
-    void healthEpoch();
-
-    /** One shard's cumulative signal sources (for epoch deltas). */
-    struct HealthBase
-    {
-        std::uint64_t completions = 0;
-        std::uint64_t rejects = 0;
-    };
 
     SystemConfig cfg;
     EventQueue eq;
@@ -237,12 +201,6 @@ class SimSystem
     std::unique_ptr<LogHistogram> readLatencyLog; //!< ns, log2 buckets
     std::unique_ptr<SimChecker> checker; //!< periodic invariant sweeps
     std::unique_ptr<trace::OccupancySampler> sampler;
-    /** Health control plane (nullptr when cfg.health.mode == Off,
-     *  which keeps every pre-health run byte-identical). */
-    std::unique_ptr<health::RecoveryController> healthCtrl;
-    std::vector<HealthBase> healthBase; //!< per-shard epoch baselines
-    Tick healthPeriod = 0;              //!< epoch length in sim ticks
-    std::uint16_t healthLane = 0;       //!< HealthState trace lane
     /** Open-loop request driver (nullptr when serve.arrival == Off,
      *  which keeps every closed-loop run byte-identical). */
     std::unique_ptr<serve::ServeDriver> serving;

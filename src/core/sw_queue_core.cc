@@ -115,9 +115,7 @@ SwQueueCore::submitPhase(ThreadId tid)
         std::uint64_t touched = 0; //!< shards that got a descriptor
         for (std::uint32_t slot = 0; slot < t.plan.batch; ++slot) {
             const Addr line = lineAlign(addrFor(tid, t.iter, slot));
-            std::uint32_t shard = topo::shardOf(line, cfg.topo);
-            if (router)
-                shard = router(shard, line);
+            const std::uint32_t shard = topo::shardOf(line, cfg.topo);
             RequestDescriptor desc;
             if (isWriteSlot(tid, t.iter, slot)) {
                 // Posted write: stage the line, submit, don't wait.

@@ -36,16 +36,6 @@ class SwQueueCore : public CoreBase
     using RingDoorbell = std::function<void()>;
 
     /**
-     * Final routing say over a descriptor's target shard: receives
-     * the interleave's natural shard and the line address, returns
-     * the shard to submit to. SimSystem installs the health
-     * controller's failover here; unset (the default) keeps natural
-     * routing and the pre-health submit path bit-identical.
-     */
-    using ShardRouter =
-        std::function<std::uint32_t(std::uint32_t natural, Addr line)>;
-
-    /**
      * @p queue_pairs / @p rings hold one queue pair and one doorbell
      * closure per device shard (a single element in the paper's
      * single-device topology). Descriptors route to the shard owning
@@ -65,9 +55,6 @@ class SwQueueCore : public CoreBase
      * in the completion queue (call at CQ-write TLP arrival).
      */
     void onCompletionPosted();
-
-    /** Install a shard-routing override (see ShardRouter). */
-    void setShardRouter(ShardRouter r) { router = std::move(r); }
 
     /** Encode a descriptor tag for (thread, slot). */
     static Addr
@@ -140,7 +127,6 @@ class SwQueueCore : public CoreBase
 
     std::vector<SwQueuePair *> queues;    //!< one per device shard
     std::vector<RingDoorbell> doorbells;  //!< one per device shard
-    ShardRouter router;                   //!< optional reroute hook
     /** Submit tick of each outstanding read, indexed by
      *  thread * maxBatch + slot (noSubmit when none). */
     std::vector<Tick> submitTicks;

@@ -23,7 +23,6 @@
 #include "common/types.hh"
 #include "common/units.hh"
 #include "device/device_params.hh"
-#include "health/health.hh"
 #include "mem/cache.hh"
 #include "mem/dram_model.hh"
 #include "mem/pcie_link.hh"
@@ -77,18 +76,6 @@ struct SystemConfig
      * platform exactly. See src/topo/topology.hh.
      */
     topo::TopologyConfig topo;
-
-    /**
-     * Health-driven recovery control plane (src/health). Off by
-     * default, which keeps every figure byte-identical to the
-     * pre-health model: with mode == Off the system constructs no
-     * controller and takes no health branches. In the timing model
-     * the DEGRADED effect shrinks the shard's chip-queue slice and
-     * QUARANTINED re-routes requests to sibling shards; per-request
-     * deadlines (Full mode's engine-level effect) apply to the
-     * real-time runtime only.
-     */
-    health::Config health;
     /** @} */
 
     /** @{ Core microarchitecture. */

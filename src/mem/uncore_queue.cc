@@ -81,24 +81,12 @@ UncoreQueue::release()
     KMU_INVARIANT(used > 0, "release on an empty uncore queue");
     used--;
     releasedCount++;
-    // After a capacity shrink the queue can sit over-committed; a
-    // release then only drains occupancy and must not admit anyone.
-    if (!waiters.empty() && !full())
+    if (!waiters.empty())
         grant(waiters.pop());
     // Nobody may wait while a slot is free (would be a lost wakeup).
     KMU_MODEL_CHECK(waiters.empty() || full(),
                     "%zu waiters stalled on a non-full uncore queue "
                     "(%u/%u in use)", waiters.size(), used, cap);
-}
-
-void
-UncoreQueue::setCapacity(std::uint32_t capacity)
-{
-    kmuAssert(capacity > 0, "uncore queue capacity must be positive");
-    cap = capacity;
-    // Growth may have opened headroom for parked waiters.
-    while (!waiters.empty() && !full())
-        grant(waiters.pop());
 }
 
 } // namespace kmu

@@ -52,15 +52,6 @@ class UncoreQueue : public SimObject
     /** Release a slot (response left the queue); admits one waiter. */
     void release();
 
-    /**
-     * Resize the queue's usable slice (health controller's DEGRADED
-     * effect). Shrinking never evicts requests already holding a slot
-     * — occupancy drains down to the new capacity as responses
-     * return; growing admits as many waiters as the new headroom
-     * allows.
-     */
-    void setCapacity(std::uint32_t capacity);
-
     /** @{ Occupancy statistics. */
     Counter entries;
     Counter fullStalls;
@@ -91,7 +82,7 @@ class UncoreQueue : public SimObject
     /** Take a slot for @p entered and schedule it this tick. */
     void grant(LambdaEvent *entered);
 
-    std::uint32_t cap;
+    const std::uint32_t cap;
     std::uint32_t faultShard = 0;
     std::uint32_t used = 0;
     std::uint32_t peak = 0;

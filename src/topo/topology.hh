@@ -171,8 +171,8 @@ shardName(const std::string &base, std::uint32_t shard,
  * selected by @p salt in ring order starting after the natural owner
  * — so under either interleave a quarantined shard's keys spread
  * across *all* siblings instead of piling onto one. Pure function:
- * both stacks, the health controller, and the tests route
- * identically. Returns @p natural when no sibling is routable.
+ * the health controller and the tests route identically. Returns
+ * @p natural when no sibling is routable.
  */
 inline std::uint32_t
 failoverShard(std::uint32_t natural, std::uint64_t routableMask,

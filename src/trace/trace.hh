@@ -74,8 +74,8 @@ enum class Kind : std::uint8_t
     DescService,    //!< span: descriptor accepted -> completion sent
     Completion,     //!< instant: completion visible to the host
     QueueDepth,     //!< counter: sampled queue occupancy (arg=depth)
-    HealthState,    //!< instant: shard state transition (id=shard,
-                    //!< arg=health::ShardState after the transition)
+    HealthState,    //!< no producer; kept so later kinds keep their
+                    //!< numbers (traces store kinds by number)
     Request         //!< span: serving-mode request arrival ->
                     //!< retirement (id=request seq, arg=latency ns)
 };

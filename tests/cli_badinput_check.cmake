@@ -35,7 +35,9 @@ function(reject fragment)
 endfunction()
 
 # kmu_sim: trailing garbage, leading whitespace (the wrap bug),
-# unknown keys, non-key=value arguments, bad enum values.
+# unknown keys, non-key=value arguments, bad enum values, and a
+# batch or value size above AccessEngine::maxBatch (formerly a panic
+# inside the model).
 reject("lambda=0.5x"      ${KMU_SIM} "lambda=0.5x")
 reject("lambda= -1"       ${KMU_SIM} "lambda= -1")
 reject("measure_us= -1"   ${KMU_SIM} "measure_us= -1")
@@ -43,6 +45,8 @@ reject("measure_us=10us"  ${KMU_SIM} "measure_us=10us")
 reject("no_such_key"      ${KMU_SIM} "no_such_key=1")
 reject("noequals"         ${KMU_SIM} "noequals")
 reject("mechanism=bogus"  ${KMU_SIM} "mechanism=bogus")
+reject("batch=17"         ${KMU_SIM} "batch=17")
+reject("value_lines=17"   ${KMU_SIM} "arrival=poisson" "value_lines=17")
 
 # kmu_faultstorm: bad rate lists and whitespace-wrapped integers.
 reject("rates=0.1,x"      ${KMU_FAULTSTORM} "rates=0.1,x")

@@ -39,11 +39,6 @@ sampleResult()
     r.shardCount = 4;
     r.shardRequestsMin = 0xabcd0123;
     r.shardRequestsMax = 0xabcd9876;
-    r.healthDegraded = 11;
-    r.healthQuarantines = 5;
-    r.healthRecoveries = 4;
-    r.failovers = 0xfeed1234;
-    r.deadlineErrors = 21;
     r.serveOffered = 100000;
     r.serveCompleted = 99998;
     r.serveSloMet = 97531;
@@ -96,11 +91,6 @@ TEST(RunResultWire, RoundTripIsBitExact)
     EXPECT_EQ(out.shardCount, in.shardCount);
     EXPECT_EQ(out.shardRequestsMin, in.shardRequestsMin);
     EXPECT_EQ(out.shardRequestsMax, in.shardRequestsMax);
-    EXPECT_EQ(out.healthDegraded, in.healthDegraded);
-    EXPECT_EQ(out.healthQuarantines, in.healthQuarantines);
-    EXPECT_EQ(out.healthRecoveries, in.healthRecoveries);
-    EXPECT_EQ(out.failovers, in.failovers);
-    EXPECT_EQ(out.deadlineErrors, in.deadlineErrors);
     EXPECT_EQ(out.serveOffered, in.serveOffered);
     EXPECT_EQ(out.serveCompleted, in.serveCompleted);
     EXPECT_EQ(out.serveSloMet, in.serveSloMet);
@@ -155,6 +145,25 @@ TEST(RunResultWire, RejectsVersionMismatch)
     wire[4] = std::uint8_t(runResultWireVersion + 1);
     RunResult out;
     EXPECT_FALSE(deserializeRunResult(wire.data(), wire.size(), out));
+}
+
+TEST(RunResultWire, RejectsNonzeroReservedWord)
+{
+    // The reserved words sit after the magic/version word and the 19
+    // base fields; setting any one of their bytes rejects the frame.
+    const auto wire = serializeRunResult(sampleResult());
+    constexpr std::size_t first = 8 + 19 * 8;
+    for (const std::size_t i :
+         {std::size_t(0), std::size_t(13),
+          runResultWireReservedWords * 8 - 1}) {
+        auto bad = wire;
+        bad[first + i] = 0x01;
+        RunResult out;
+        out.iterations = 7;
+        EXPECT_FALSE(deserializeRunResult(bad.data(), bad.size(), out))
+            << "reserved byte " << i;
+        EXPECT_EQ(out.iterations, 7u); // untouched on failure
+    }
 }
 
 TEST(RunResultWire, RejectsWrongSize)

@@ -40,7 +40,7 @@ usage()
         "  smt=N              SMT contexts, on-demand only (1)\n"
         "  latency_us=F       device latency     (1)\n"
         "  work=N             work instrs/access (250)\n"
-        "  batch=N            reads/iteration    (1)\n"
+        "  batch=N            reads/iteration, 1-16 (1)\n"
         "  write_frac=F       posted-write share (0)\n"
         "  lfb=N              LFB entries/core   (10)\n"
         "  chipq=N            chip PCIe queue    (14)\n"
@@ -59,7 +59,7 @@ usage()
         "  lambda=F           offered load, requests/us (1)\n"
         "  zipf=F             key popularity skew, [0,1) (0)\n"
         "  keys=N             keyspace size      (1048576)\n"
-        "  value_lines=N      cache lines per value (1)\n"
+        "  value_lines=N      cache lines per value, 1-16 (1)\n"
         "  clients=N          client cap, 0=unbounded (0)\n"
         "  slo_us=F           per-request latency SLO (100)\n"
         "  duty=F             bursty ON fraction, (0,1] (0.5)\n"
@@ -140,7 +140,7 @@ main(int argc, char **argv)
                 badValue(key, value);
         } else if (key == "batch") {
             if (!toolargs::parseU32(value, cfg.batch) ||
-                cfg.batch == 0)
+                cfg.batch == 0 || cfg.batch > AccessEngine::maxBatch)
                 badValue(key, value);
         } else if (key == "write_frac") {
             if (!toolargs::parseF64(value, f64) || f64 < 0.0 ||
@@ -214,7 +214,8 @@ main(int argc, char **argv)
                 badValue(key, value);
         } else if (key == "value_lines") {
             if (!toolargs::parseU32(value, cfg.serve.valueLines) ||
-                cfg.serve.valueLines == 0)
+                cfg.serve.valueLines == 0 ||
+                cfg.serve.valueLines > AccessEngine::maxBatch)
                 badValue(key, value);
         } else if (key == "clients") {
             if (!toolargs::parseU32(value, cfg.serve.clients))
