@@ -133,12 +133,10 @@ SimSystem::buildMemoryMapped()
             links.push_back(std::make_unique<PcieLink>(
                 topo::shardName("pcie", s, shards), eq, cfg.pcie,
                 &root));
-            links.back()->setFaultShard(s);
             chipQueues.push_back(std::make_unique<UncoreQueue>(
                 topo::shardName("chip_pcie_queue", s, shards), eq,
                 topo::chipQueueSlice(cfg.chipPcieQueue, cfg.topo),
                 &root));
-            chipQueues.back()->setFaultShard(s);
             devices.push_back(std::make_unique<DeviceEmulator>(
                 topo::shardName("device", s, shards), eq, cfg.device,
                 *links.back(), cfg.numCores, &root));
@@ -226,7 +224,6 @@ SimSystem::buildSwQueue()
     for (std::uint32_t s = 0; s < shards; ++s) {
         links.push_back(std::make_unique<PcieLink>(
             topo::shardName("pcie", s, shards), eq, cfg.pcie, &root));
-        links.back()->setFaultShard(s);
     }
 
     // Each core keeps one queue pair + request fetcher per shard
@@ -245,7 +242,6 @@ SimSystem::buildSwQueue()
                         .onCompletionPosted();
                 },
                 &root));
-            fetchers.back()->setFaultShard(s);
         }
     }
 

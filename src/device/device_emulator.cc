@@ -1,6 +1,5 @@
 #include "device/device_emulator.hh"
 
-#include "fault/fault_plan.hh"
 #include "trace/trace.hh"
 
 namespace kmu
@@ -59,26 +58,6 @@ DeviceEmulator::deviceReceive(CoreId core, Addr addr)
 
     // Replay lookup; spurious requests pay the on-demand path.
     Tick service = cfg.holdTime();
-
-    // Domain faults. A device hang stalls the whole shard's service
-    // pipeline: the window anchors at the first request that
-    // encounters the fault, and requests arriving inside it queue
-    // behind its end (the site is not re-drawn inside an open window
-    // so seeded windows never merge). A brownout inflates only the
-    // firing request's service time.
-    if (curTick() >= hangUntil &&
-        fault::fire(fault::FaultSite::DeviceHang, faultShard)) {
-        hangUntil = curTick() + fault::magnitude(
-            fault::FaultSite::DeviceHang, 64) * cfg.latency;
-    }
-    if (curTick() < hangUntil)
-        service += hangUntil - curTick();
-    if (fault::fire(fault::FaultSite::Brownout, faultShard)) {
-        const std::uint64_t factor =
-            fault::magnitude(fault::FaultSite::Brownout, 4);
-        if (factor > 1)
-            service += (factor - 1) * cfg.holdTime();
-    }
     ReplayWindow *replay = replayModules[core].get();
     if (replay) {
         if (replay->lookup(lineAlign(addr)) == ReplayWindow::Result::Miss) {

@@ -84,17 +84,6 @@ class DeviceEmulator : public SimObject
      */
     void setTraceLaneBase(std::uint16_t base) { traceLaneBase = base; }
 
-    /**
-     * Device shard this emulator serves (fault-site addressing): the
-     * DeviceHang / Brownout domain faults fire against this id so a
-     * FaultSpec's shardMask can fail one shard's device. Defaults
-     * to 0.
-     */
-    void setFaultShard(std::uint32_t shard) { faultShard = shard; }
-
-    /** Tick until which an injected device hang stalls service. */
-    Tick hangEndsAt() const { return hangUntil; }
-
     /** @{ Device-side statistics. */
     Counter requests;
     Counter replayMatches;
@@ -150,9 +139,6 @@ class DeviceEmulator : public SimObject
     PcieLink &link;
     std::vector<std::unique_ptr<ReplayWindow>> replayModules;
     std::uint16_t traceLaneBase = 0;
-    std::uint32_t faultShard = 0;
-    /** Device-hang fault window: no service until here. */
-    Tick hangUntil = 0;
 };
 
 } // namespace kmu

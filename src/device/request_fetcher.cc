@@ -1,7 +1,6 @@
 #include "device/request_fetcher.hh"
 
 #include "common/thread_annotations.hh"
-#include "fault/fault_plan.hh"
 #include "trace/trace.hh"
 
 namespace kmu
@@ -37,13 +36,6 @@ RequestFetcher::RequestFetcher(std::string name, EventQueue &queue,
 }
 
 void
-RequestFetcher::setReplaySource(ReplayWindow::SequenceSource src)
-{
-    replay = std::make_unique<ReplayWindow>(std::move(src),
-                                            cfg.replayWindowSize);
-}
-
-void
 RequestFetcher::ringDoorbell()
 {
     // MMIO doorbell write: small posted write toward the device.
@@ -61,21 +53,6 @@ RequestFetcher::ringDoorbell()
 void
 RequestFetcher::issueBurst()
 {
-    // Device-hang domain fault: the fetch pipeline freezes for a
-    // window, then resumes where it left off. `active` stays true so
-    // host doorbells remain redundant — exactly the failure the
-    // watchdog and health controller must detect, since nothing the
-    // host does shortens the window. The hang swallows this
-    // encounter of the site; the next one happens after the window,
-    // so windows never merge.
-    if (fault::fire(fault::FaultSite::DeviceHang, faultShard)) {
-        const Tick window = fault::magnitude(
-            fault::FaultSite::DeviceHang, 64) * cfg.latency;
-        eventQueue().scheduleLambda(
-            curTick() + window, [this]() { issueBurst(); },
-            EventPriority::Default, hangName);
-        return;
-    }
     ++burstReads;
     trace::begin(trace::Kind::DescBurst, burstReads.value(),
                  traceTrack());
@@ -86,18 +63,8 @@ RequestFetcher::issueBurst()
             curTick() + hostMemLatency,
             [this]() {
                 burst.clear();
-                // Truncation fault: the DMA burst is cut short after
-                // k < burstSize slots. Unread descriptors stay in the
-                // ring, so a later burst (or the park-path sweep)
-                // retrieves them — delayed, never lost.
-                std::uint32_t slots = cfg.burstSize;
-                if (fault::fire(fault::FaultSite::DescFetchTruncation,
-                                faultShard))
-                    slots = std::uint32_t(fault::draw(
-                        fault::FaultSite::DescFetchTruncation,
-                        cfg.burstSize));
                 RoleGuard device(queues.deviceRole);
-                queues.fetchBurst(burst, slots);
+                queues.fetchBurst(burst, cfg.burstSize);
                 // The device always over-reads a full burst worth of
                 // descriptor slots regardless of how many are new.
                 const std::uint32_t payload =
@@ -197,50 +164,10 @@ RequestFetcher::serviceDescriptor(const RequestDescriptor &desc)
         return;
     }
 
-    Tick service = cfg.holdTime();
-    bool on_demand = !replay;
-    if (replay) {
-        // Eviction storm: the device discards a run of buffered
-        // replay entries, so upcoming requests fall through to the
-        // on-demand module (extra latency, same data).
-        if (fault::fire(fault::FaultSite::ReplayEvictionStorm,
-                        faultShard)) {
-            const std::uint64_t storm = fault::magnitude(
-                fault::FaultSite::ReplayEvictionStorm,
-                cfg.replayWindowSize / 4);
-            replay->evictOldest(std::size_t(fault::draw(
-                fault::FaultSite::ReplayEvictionStorm,
-                std::max<std::uint64_t>(storm, 1))));
-        }
-        // Software-generated requests are never missing or spurious,
-        // but we still route them through the replay module for
-        // functional fidelity with the hardware design.
-        if (replay->lookup(lineAlign(desc.lineAddr())) ==
-            ReplayWindow::Result::Miss) {
-            service += cfg.onDemandLatency;
-            on_demand = true;
-        }
-    }
-    // On-demand module stall: the slow on-board DRAM path hiccups.
-    if (on_demand &&
-        fault::fire(fault::FaultSite::OnDemandStall, faultShard)) {
-        service += fault::draw(
-            fault::FaultSite::OnDemandStall,
-            fault::magnitude(fault::FaultSite::OnDemandStall,
-                             4 * cfg.onDemandLatency));
-    }
-    // Brownout domain fault: service latency multiplied for the
-    // firing request (the plan's burst window turns this into a
-    // sustained slowdown across the shard).
-    if (fault::fire(fault::FaultSite::Brownout, faultShard)) {
-        const std::uint64_t factor =
-            fault::magnitude(fault::FaultSite::Brownout, 4);
-        if (factor > 1)
-            service += (factor - 1) * cfg.holdTime();
-    }
-
+    // Software-generated requests are never missing or spurious, so
+    // a read needs no replay lookup: the delay module just holds it.
     eventQueue().scheduleLambda(
-        curTick() + service,
+        curTick() + cfg.holdTime(),
         [this, desc]() {
             ++responses;
             // Ordered pair: response data first, completion second.

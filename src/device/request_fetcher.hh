@@ -8,8 +8,8 @@
  *  fetching: DMA-read a burst of eight descriptors from the host
  *            request queue (read-request TLP upstream, host memory
  *            latency, completion TLP downstream), hand each new
- *            descriptor to the replay/delay path, and loop while at
- *            least one new descriptor was retrieved;
+ *            descriptor to the delay path, and loop while at least
+ *            one new descriptor was retrieved;
  *  fetching --(empty burst)--> write the in-memory doorbell-request
  *            flag and park.
  *
@@ -23,11 +23,9 @@
 #define KMU_DEVICE_REQUEST_FETCHER_HH
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "device/device_params.hh"
-#include "device/replay_window.hh"
 #include "mem/pcie_link.hh"
 #include "queue/sw_queue_pair.hh"
 #include "sim/sim_object.hh"
@@ -52,18 +50,7 @@ class RequestFetcher : public SimObject
      */
     void ringDoorbell();
 
-    /** Install a recorded stream for this fetcher's replay module. */
-    void setReplaySource(ReplayWindow::SequenceSource src);
-
     bool fetching() const { return active; }
-
-    /**
-     * Device shard this fetcher belongs to (fault-site addressing):
-     * the descriptor-path fault sites fire against this id so a
-     * FaultSpec's shardMask can target one device of a sharded
-     * topology. Defaults to 0.
-     */
-    void setFaultShard(std::uint32_t shard) { faultShard = shard; }
 
     /** @{ Statistics. */
     Counter doorbells;
@@ -81,7 +68,6 @@ class RequestFetcher : public SimObject
 
   private:
     /** Cached event names for the per-request fetch pipeline. */
-    const std::string hangName = name() + ".hang";
     const std::string descReadName = name() + ".descRead";
     const std::string writeDelayName = name() + ".writeDelay";
     const std::string writeDataName = name() + ".writeData";
@@ -100,12 +86,10 @@ class RequestFetcher : public SimObject
     PcieLink &link;
     Tick hostMemLatency;
     CompletionNotify notify;
-    std::unique_ptr<ReplayWindow> replay;
     /** The one descriptor burst in flight (a fetcher never issues
      *  the next burst before servicing this one), reused so the
      *  fetch path allocates nothing. */
     std::vector<RequestDescriptor> burst;
-    std::uint32_t faultShard = 0;
     bool active = false;
 };
 

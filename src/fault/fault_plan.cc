@@ -11,14 +11,6 @@ const char *
 faultSiteName(FaultSite site)
 {
     switch (site) {
-      case FaultSite::PcieTlpDrop:         return "pcie_tlp_drop";
-      case FaultSite::PcieTlpDuplicate:    return "pcie_tlp_dup";
-      case FaultSite::PcieTlpBitFlip:      return "pcie_tlp_bitflip";
-      case FaultSite::PcieLatencySpike:    return "pcie_latency_spike";
-      case FaultSite::UncoreEntryStall:    return "uncore_entry_stall";
-      case FaultSite::UncoreTransientFull: return "uncore_transient_full";
-      case FaultSite::LfbTransientFull:    return "lfb_transient_full";
-      case FaultSite::LfbFillStall:        return "lfb_fill_stall";
       case FaultSite::DoorbellLoss:        return "doorbell_loss";
       case FaultSite::DescFetchTruncation: return "desc_fetch_truncation";
       case FaultSite::ReplayEvictionStorm: return "replay_eviction_storm";
@@ -27,7 +19,6 @@ faultSiteName(FaultSite site)
       case FaultSite::CompletionReorder:   return "completion_reorder";
       case FaultSite::ResponseBitFlip:     return "response_bitflip";
       case FaultSite::MappedReadError:     return "mapped_read_error";
-      case FaultSite::LinkOutage:          return "link_outage";
       case FaultSite::DeviceHang:          return "device_hang";
       case FaultSite::Brownout:            return "brownout";
       case FaultSite::NumSites:            break;
@@ -35,13 +26,39 @@ faultSiteName(FaultSite site)
     panic("bad fault site %u", unsigned(site));
 }
 
+namespace
+{
+
+/**
+ * Stream id of each site: its index in the enum when the enum also
+ * listed nine timing-model sites (four PCIe, two uncore, two LFB and
+ * a link outage). Seeding from these ids rather than from the
+ * current index keeps every seeded fault schedule, and so every
+ * kmu_faultstorm and abl_outage CSV, bit-identical across that
+ * deletion.
+ */
+constexpr std::array<std::uint64_t, numFaultSites> streamIds = {
+    8,  // DoorbellLoss
+    9,  // DescFetchTruncation
+    10, // ReplayEvictionStorm
+    11, // OnDemandStall
+    12, // CompletionLoss
+    13, // CompletionReorder
+    14, // ResponseBitFlip
+    15, // MappedReadError
+    17, // DeviceHang
+    18, // Brownout
+};
+
+} // anonymous namespace
+
 FaultPlan::FaultPlan(std::uint64_t seed) : planSeed(seed)
 {
     // Decorrelate the site streams: each gets its own generator
-    // seeded from the plan seed and the site index, so one site's
-    // draw count never influences another site's schedule.
+    // seeded from the plan seed and the site's stream id, so one
+    // site's draw count never influences another site's schedule.
     for (std::size_t i = 0; i < numFaultSites; ++i)
-        sites[i].rng.seed(mix64(seed ^ mix64(0xfa17u + i)));
+        sites[i].rng.seed(mix64(seed ^ mix64(0xfa17u + streamIds[i])));
 }
 
 FaultPlan::SiteState &
@@ -114,8 +131,6 @@ FaultPlan::outage(std::uint64_t seed, std::uint64_t shardMask,
     // window. While a component is inside a hang window it stops
     // encountering the site, so consecutive windows never merge.
     plan.set(FaultSite::DeviceHang,
-             FaultSpec{1.0, hangWindow, period, 1, shardMask});
-    plan.set(FaultSite::LinkOutage,
              FaultSpec{1.0, hangWindow, period, 1, shardMask});
     if (brownoutFactor > 1) {
         // Brownout rides alongside the hangs: every serviced request

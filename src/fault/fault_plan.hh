@@ -20,9 +20,9 @@
  *
  * Injection is opt-in and zero-cost when off: components consult the
  * process-wide plan through fault::fire(), which is a null-pointer
- * check when no plan is installed. With no plan the model's behaviour
- * — and therefore every figure and ablation CSV — is bit-identical
- * to a build without this subsystem.
+ * check when no plan is installed. With no plan the runtime behaves
+ * bit-identically to a build without this subsystem; the timing
+ * model, and so every figure CSV, never consults it.
  */
 
 #ifndef KMU_FAULT_FAULT_PLAN_HH
@@ -39,26 +39,14 @@ namespace fault
 {
 
 /**
- * Every place a fault can be provoked. Sites mirror the layers of
- * the stack: the PCIe link, the uncore/LFB hardware queues, the
- * device emulator, and the software-queue protocol.
+ * Every place a fault can be provoked. All of them sit in the real
+ * runtime: the emulated device thread, the software-queue completion
+ * path, the memory-mapped read path of the access engines, and the
+ * whole-shard domain faults. The timing model has no fault sites;
+ * its figures are fault-free queueing results.
  */
 enum class FaultSite : std::uint32_t
 {
-    // --- PCIe link (transaction layer protected by link-level CRC:
-    //     drops and bit flips become NAK + retransmission, costing
-    //     wire bandwidth and latency but never losing TLPs) ---
-    PcieTlpDrop,        //!< lost TLP: replay after the retry timeout
-    PcieTlpDuplicate,   //!< dup TLP: extra wire traffic, one delivery
-    PcieTlpBitFlip,     //!< LCRC failure: NAK + retransmission
-    PcieLatencySpike,   //!< tail-latency blowup on one delivery
-
-    // --- uncore queue and LFB ---
-    UncoreEntryStall,   //!< arbitration stall before slot grant
-    UncoreTransientFull,//!< slot briefly unavailable despite headroom
-    LfbTransientFull,   //!< allocation conflict: behave as full once
-    LfbFillStall,       //!< fill delivery delayed
-
     // --- device emulator ---
     DoorbellLoss,       //!< doorbell MMIO write never lands
     DescFetchTruncation,//!< DMA burst truncated mid-burst-of-8
@@ -74,8 +62,7 @@ enum class FaultSite : std::uint32_t
     MappedReadError,    //!< detected MMIO read error: must re-issue
 
     // --- domain-scale shapes (whole-shard failure domains; scope
-    //     with FaultSpec::shardMask, magnitude = window length) ---
-    LinkOutage,         //!< PCIe link drops everything for a window
+    //     with FaultSpec::shardMask) ---
     DeviceHang,         //!< device stops servicing for a window
     Brownout,           //!< service latency multiplied for a window
 
@@ -99,20 +86,19 @@ const char *faultSiteName(FaultSite site);
  * and recover from, while staying a pure function of the encounter
  * counter.
  *
- * `magnitude` parameterizes sites that need a size: stall ticks for
- * *Stall sites, extra propagation ticks for PcieLatencySpike,
- * entries evicted for ReplayEvictionStorm, extra service steps for
- * the real-time device. Zero selects a site-specific default.
+ * `magnitude` parameterizes sites that need a size: extra service
+ * steps for OnDemandStall, entries evicted for ReplayEvictionStorm,
+ * the window length for DeviceHang, the latency factor for
+ * Brownout. Zero selects a site-specific default.
  *
  * `shardMask` scopes the site to a subset of device shards in a
  * sharded topology (src/topo): bit s enables injection at the
- * instance of this site on shard s. Components that are not
- * per-shard (LFBs, the access engines) encounter their sites as
- * shard 0. The all-ones default keeps single-device plans
- * bit-identical to the pre-sharding behaviour. A masked-out
- * encounter still advances the site's encounter counter (so burst
- * windows stay aligned with wall progress) but draws nothing from
- * the site's RNG stream.
+ * instance of this site on shard s. Sites that are not per-shard
+ * (all but DeviceHang and Brownout) encounter as shard 0. The
+ * all-ones default keeps single-device plans bit-identical to the
+ * pre-sharding behaviour. A masked-out encounter still advances the
+ * site's encounter counter (so burst windows stay aligned with wall
+ * progress) but draws nothing from the site's RNG stream.
  */
 struct FaultSpec
 {
@@ -146,7 +132,7 @@ class FaultPlan
     /**
      * Domain-outage schedule: the shards selected by @p shardMask
      * suffer periodic device hangs (window of @p hangWindow service
-     * steps, once per @p period encounters) and a brownout
+     * steps, once per @p period encounters) and optionally a brownout
      * (service latency ×@p brownoutFactor) while the rest of the
      * system runs fault-free. This is the schedule abl_outage and
      * kmu_faultstorm's outage mode inject — the shape the health

@@ -4,8 +4,8 @@
  * control plane.
  *
  * The fault layer (src/fault) provokes domain-scale misbehaviour —
- * a link outage, a hung device, a brownout — and the sharded topology
- * (src/topo) gives the system N independent failure domains. This
+ * a hung device, a brownout — and the sharded topology (src/topo)
+ * gives the system N independent failure domains. This
  * subsystem closes the loop: a HealthMonitor folds each shard's
  * per-epoch signals (completions, watchdog re-issues, ring rejects,
  * queue depth, oldest in-flight age) into a retry-pressure EWMA and a
@@ -16,9 +16,10 @@
  *      ▲                        │                        │
  *      └──── hysteresisEpochs ──┘◀──── probe successes ──┘
  *
- * DEGRADED shards keep serving but shed optimism (the embedding layer
- * flips prefetch→on-demand and shrinks the shard's chip-queue slice);
- * QUARANTINED shards stop receiving new requests — the router fails
+ * DEGRADED shards keep their traffic: the state is the step before
+ * quarantine (the prefetch→on-demand flip under retry pressure is
+ * fault::DegradationGovernor, not this state machine). QUARANTINED
+ * shards stop receiving new requests — the router fails
  * them over to sibling shards under the interleave remap, except for
  * a deterministic 1-in-probePeriod canary probe that tests whether
  * the shard came back. Probe completions accumulate toward
@@ -28,11 +29,10 @@
  * the flap suppression).
  *
  * Everything here is pure, deterministic logic: no clocks, no RNG,
- * no threads. The embedding layer (SwQueueEngine's poll-tick loop or
- * SimSystem's event queue) decides when an epoch elapses and what the
- * signals are; with the controller disabled (Mode::Off) no embedding
- * layer constructs one, so health-off runs are byte-identical to a
- * build without this subsystem.
+ * no threads. The embedding layer, SwQueueEngine's poll-tick loop,
+ * decides when an epoch elapses and what the signals are; with the
+ * controller disabled (Mode::Off) it constructs none, so health-off
+ * runs are byte-identical to a build without this subsystem.
  */
 
 #ifndef KMU_HEALTH_HEALTH_HH

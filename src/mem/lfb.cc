@@ -1,8 +1,6 @@
 #include "mem/lfb.hh"
 
 #include "check/invariant.hh"
-#include "common/units.hh"
-#include "fault/fault_plan.hh"
 #include "trace/trace.hh"
 
 namespace kmu
@@ -47,16 +45,6 @@ Lfb::claim(Addr line, std::uint32_t &slot)
                        inUse());
         return AllocResult::NoEntry;
     }
-    // Transient full: report NoEntry although a slot is free. Only
-    // injected while at least one entry is live so callers that park
-    // on waitForFree() are guaranteed a future fill() to admit them.
-    if (inUse() > 0 &&
-        fault::fire(fault::FaultSite::LfbTransientFull)) {
-        ++rejections;
-        trace::instant(trace::Kind::LfbReject, line, traceTrack(),
-                       inUse());
-        return AllocResult::NoEntry;
-    }
     occupancyAtAlloc.sample(double(inUse()));
     trace::begin(trace::Kind::LfbResident, line, traceTrack(),
                  inUse());
@@ -81,20 +69,6 @@ Lfb::claim(Addr line, std::uint32_t &slot)
 void
 Lfb::fill(Addr line)
 {
-    // Fill stall: the fill data is held back for a while. The entry
-    // stays live, so new requests for the line keep merging into it;
-    // the deferred call performs the one real fill.
-    if (fault::fire(fault::FaultSite::LfbFillStall)) {
-        const Tick stall = fault::magnitude(
-            fault::FaultSite::LfbFillStall, 200 * tickPerNs);
-        eventQueue().scheduleLambda(
-            curTick() + fault::draw(fault::FaultSite::LfbFillStall,
-                                    stall),
-            [this, line] { fill(line); },
-            EventPriority::Default, stalledFillName);
-        return;
-    }
-
     const std::uint32_t slot = find(line);
     KMU_INVARIANT(slot != noSlot,
                   "fill for line %#llx with no LFB entry",

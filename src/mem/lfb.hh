@@ -108,7 +108,6 @@ class Lfb : public SimObject
   private:
     /** Cached event names: the fill path runs per access. */
     const std::string freeNowName = name() + ".freeNow";
-    const std::string stalledFillName = name() + ".stalledFill";
     const std::string fillName = name() + ".fill";
 
     /** One line fill buffer: a table slot, live while its miss is
@@ -126,7 +125,7 @@ class Lfb : public SimObject
     std::uint32_t find(Addr line) const;
 
     /** Merge into or allocate an entry for @p line (the accounting
-     *  and fault draws of request()); @p slot names the entry. */
+     *  of request()); @p slot names the entry. */
     AllocResult claim(Addr line, std::uint32_t &slot);
 
     std::uint32_t cap;

@@ -2,7 +2,6 @@
 
 #include "check/invariant.hh"
 #include "common/units.hh"
-#include "fault/fault_plan.hh"
 #include "trace/trace.hh"
 
 namespace kmu
@@ -38,55 +37,11 @@ PcieLink::transmit(LinkDir dir, std::uint32_t payload_bytes,
 
     const std::uint32_t wire_bytes = payload_bytes + cfg.tlpHeaderBytes;
 
-    // Injected link outage: the link drops and retrains, blocking
-    // both directions until the window closes. The window anchors at
-    // the first TLP that encounters the fault; while one is open the
-    // site is not consulted again (a second draw inside the window
-    // would merge windows and make the outage length depend on
-    // traffic, breaking the seeded schedule).
-    if (curTick() >= outageUntil &&
-        fault::fire(fault::FaultSite::LinkOutage, faultShard)) {
-        const Tick window = fault::magnitude(
-            fault::FaultSite::LinkOutage, 64) * cfg.propagation;
-        outageUntil = curTick() + window;
-    }
-
-    Tick start = std::max(curTick(), d.wireFreeAt);
-    start = std::max(start, outageUntil);
-    Tick done = start + transferTicks(wire_bytes, cfg.bytesPerSec);
+    const Tick start = std::max(curTick(), d.wireFreeAt);
+    const Tick done = start + transferTicks(wire_bytes, cfg.bytesPerSec);
     KMU_INVARIANT(done >= start,
                   "link transfer time went backwards (%llu < %llu)",
                   (unsigned long long)done, (unsigned long long)start);
-
-    // Injected link faults. The PCIe data-link layer protects TLPs
-    // with an LCRC and a replay buffer, so a dropped or corrupted
-    // TLP is never lost at the transaction layer: the receiver NAKs
-    // and the sender retransmits. Both therefore cost an extra wire
-    // serialization plus the replay-timer delay, and a duplicated
-    // TLP (spurious replay) costs wire bandwidth but delivers once —
-    // faults degrade timing and bandwidth, never the protocol.
-    Tick deliver_extra = 0;
-    const bool retransmit =
-        fault::fire(fault::FaultSite::PcieTlpDrop, faultShard) ||
-        fault::fire(fault::FaultSite::PcieTlpBitFlip, faultShard);
-    if (retransmit) {
-        done += transferTicks(wire_bytes, cfg.bytesPerSec);
-        d.wire += wire_bytes;
-        d.tlps += 1;
-        deliver_extra += fault::magnitude(
-            fault::FaultSite::PcieTlpDrop, cfg.propagation);
-    }
-    if (fault::fire(fault::FaultSite::PcieTlpDuplicate, faultShard)) {
-        done += transferTicks(wire_bytes, cfg.bytesPerSec);
-        d.wire += wire_bytes;
-        d.tlps += 1;
-    }
-    if (fault::fire(fault::FaultSite::PcieLatencySpike, faultShard)) {
-        const Tick spike = fault::magnitude(
-            fault::FaultSite::PcieLatencySpike, 4 * cfg.propagation);
-        deliver_extra +=
-            fault::draw(fault::FaultSite::PcieLatencySpike, spike);
-    }
 
     d.wireFreeAt = done;
     d.wire += wire_bytes;
@@ -98,7 +53,7 @@ PcieLink::transmit(LinkDir dir, std::uint32_t payload_bytes,
                     (unsigned long long)d.useful,
                     (unsigned long long)d.wire);
 
-    Delivery out{done + cfg.propagation + deliver_extra, 0, 0, false};
+    Delivery out{done + cfg.propagation, 0, 0, false};
     // The TLP's time on the link is a span: begin at send, end at
     // delivery (send() wraps the callback). Lanes traceTrack()+0/+1 =
     // toDevice/toHost so the two directions render separately.
@@ -129,12 +84,6 @@ std::uint64_t
 PcieLink::tlpCount(LinkDir dir) const
 {
     return dirState(dir).tlps;
-}
-
-Tick
-PcieLink::busyUntil(LinkDir dir) const
-{
-    return dirState(dir).wireFreeAt;
 }
 
 void

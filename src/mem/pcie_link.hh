@@ -93,24 +93,8 @@ class PcieLink : public SimObject
     /** TLP count so far in @p dir. */
     std::uint64_t tlpCount(LinkDir dir) const;
 
-    /** Tick at which the given direction's wire goes idle. */
-    Tick busyUntil(LinkDir dir) const;
-
-    /** Tick until which an injected link outage blocks the wire
-     *  (0 when no outage fired yet). */
-    Tick outageEndsAt() const { return outageUntil; }
-
     /** Reset byte/TLP counters (occupancy state is untouched). */
     void resetCounters();
-
-    /**
-     * Device shard this link serves (fault-site addressing): the
-     * Pcie* fault sites fire against this id, so a FaultSpec's
-     * shardMask can target one link of a sharded topology. Defaults
-     * to 0, which is also what every single-device system uses.
-     */
-    void setFaultShard(std::uint32_t shard) { faultShard = shard; }
-    std::uint32_t faultShardId() const { return faultShard; }
 
   private:
     /** Cached "<name>.deliver": the per-TLP event name. */
@@ -125,8 +109,8 @@ class PcieLink : public SimObject
         bool traced;        //!< a trace sink saw the span begin
     };
 
-    /** Serialize one TLP on @p dir: wire and fault accounting, the
-     *  trace span's begin, and the tick it arrives. */
+    /** Serialize one TLP on @p dir: wire accounting, the trace
+     *  span's begin, and the tick it arrives. */
     Delivery transmit(LinkDir dir, std::uint32_t payload_bytes,
                       std::uint32_t useful_bytes);
 
@@ -146,9 +130,6 @@ class PcieLink : public SimObject
     PcieLinkParams cfg;
     Direction toDevice;
     Direction toHost;
-    std::uint32_t faultShard = 0;
-    /** Link-outage fault window: both directions stall until here. */
-    Tick outageUntil = 0;
 };
 
 } // namespace kmu

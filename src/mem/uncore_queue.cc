@@ -1,8 +1,6 @@
 #include "mem/uncore_queue.hh"
 
 #include "check/invariant.hh"
-#include "common/units.hh"
-#include "fault/fault_plan.hh"
 #include "trace/trace.hh"
 
 namespace kmu
@@ -49,22 +47,6 @@ UncoreQueue::grant(LambdaEvent *entered)
 void
 UncoreQueue::acquireBound(LambdaEvent *entered)
 {
-    // Injected faults retry the acquire later instead of parking on
-    // the waiter list: the waiter list is only drained by release(),
-    // so a fault-queued waiter could strand (or trip the lost-wakeup
-    // model check) if the queue was not actually full.
-    if (fault::fire(fault::FaultSite::UncoreEntryStall, faultShard) ||
-        fault::fire(fault::FaultSite::UncoreTransientFull, faultShard)) {
-        const Tick stall = fault::magnitude(
-            fault::FaultSite::UncoreEntryStall, 50 * tickPerNs);
-        ++fullStalls;
-        eventQueue().scheduleLambda(
-            curTick() + fault::draw(fault::FaultSite::UncoreEntryStall,
-                                    stall),
-            [this, entered]() { acquireBound(entered); },
-            EventPriority::Default, faultRetryName);
-        return;
-    }
     if (!full()) {
         grant(entered);
         return;

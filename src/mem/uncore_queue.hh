@@ -64,26 +64,17 @@ class UncoreQueue : public SimObject
     /** Cumulative slots released; entries - released == inUse(). */
     std::uint64_t totalReleases() const { return releasedCount; }
 
-    /**
-     * Device shard this queue feeds (fault-site addressing): the
-     * Uncore* fault sites fire against this id so a FaultSpec's
-     * shardMask can single out one shard's chip queue. Defaults to 0.
-     */
-    void setFaultShard(std::uint32_t shard) { faultShard = shard; }
-
   private:
-    /** Cached event names: grant/retry paths are per-access. */
+    /** Cached "<name>.enter": the grant path runs per access. */
     const std::string enterName = name() + ".enter";
-    const std::string faultRetryName = name() + ".faultRetry";
 
-    /** Fault draws, then grant or park, for a bound request. */
+    /** Grant or park a bound request. */
     void acquireBound(LambdaEvent *entered);
 
     /** Take a slot for @p entered and schedule it this tick. */
     void grant(LambdaEvent *entered);
 
     const std::uint32_t cap;
-    std::uint32_t faultShard = 0;
     std::uint32_t used = 0;
     std::uint32_t peak = 0;
     std::uint64_t releasedCount = 0;

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "common/types.hh"
+
 namespace kmu
 {
 namespace serve
@@ -78,6 +80,20 @@ struct ServeConfig
     /** @} */
 
     bool enabled() const { return arrival != ArrivalKind::Off; }
+
+    /**
+     * True iff the numKeys x valueLines lines of the keyspace stay
+     * below hostAddr bit 48, clear of the generation-tag and
+     * shard-id bits 48..61. Compared by division: the 64-bit
+     * product can wrap.
+     */
+    bool
+    keyspaceFits() const
+    {
+        constexpr std::uint64_t maxLines =
+            (std::uint64_t(1) << (48 - cacheLineShift)) - 1;
+        return valueLines > 0 && numKeys <= maxLines / valueLines;
+    }
 };
 
 } // namespace serve

@@ -31,10 +31,7 @@ ServeDriver::ServeDriver(const ServeConfig &config, EventQueue &queue,
     kmuAssert(cfg.enabled(), "serve driver needs arrivals enabled");
     kmuAssert(num_lanes > 0, "serve driver needs at least one lane");
     kmuAssert(cfg.valueLines > 0, "requests must read >= 1 line");
-    // Request addresses must stay clear of the generation-tag and
-    // shard-id bits (hostAddr bits 48..61).
-    const Addr top = Addr(cfg.numKeys) * cfg.valueLines;
-    kmuAssert(top < (Addr(1) << (48 - cacheLineShift)),
+    kmuAssert(cfg.keyspaceFits(),
               "keyspace times value size overflows the address tags");
 }
 

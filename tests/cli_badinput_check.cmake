@@ -35,9 +35,9 @@ function(reject fragment)
 endfunction()
 
 # kmu_sim: trailing garbage, leading whitespace (the wrap bug),
-# unknown keys, non-key=value arguments, bad enum values, and a
-# batch or value size above AccessEngine::maxBatch (formerly a panic
-# inside the model).
+# unknown keys, non-key=value arguments, bad enum values, a batch or
+# value size above AccessEngine::maxBatch (formerly a panic inside
+# the model), and an over-limit keyspace.
 reject("lambda=0.5x"      ${KMU_SIM} "lambda=0.5x")
 reject("lambda= -1"       ${KMU_SIM} "lambda= -1")
 reject("measure_us= -1"   ${KMU_SIM} "measure_us= -1")
@@ -47,6 +47,13 @@ reject("noequals"         ${KMU_SIM} "noequals")
 reject("mechanism=bogus"  ${KMU_SIM} "mechanism=bogus")
 reject("batch=17"         ${KMU_SIM} "batch=17")
 reject("value_lines=17"   ${KMU_SIM} "arrival=poisson" "value_lines=17")
+# keys x value_lines past the 2^42-line address limit: the first pair
+# wraps a 64-bit product to 0 (formerly accepted), the second formerly
+# panicked inside the model.
+reject("keys=9223372036854775808" ${KMU_SIM} "arrival=poisson"
+       "keys=9223372036854775808" "value_lines=2" "measure_us=20")
+reject("keys=18446744073709551615" ${KMU_SIM} "arrival=poisson"
+       "keys=18446744073709551615" "value_lines=2" "measure_us=20")
 
 # kmu_faultstorm: bad rate lists and whitespace-wrapped integers.
 reject("rates=0.1,x"      ${KMU_FAULTSTORM} "rates=0.1,x")

@@ -11,7 +11,6 @@
 #include "common/units.hh"
 #include "common/thread_annotations.hh"
 #include "device/request_fetcher.hh"
-#include "fault/fault_plan.hh"
 
 namespace kmu
 {
@@ -24,8 +23,18 @@ struct FetcherFixture : public ::testing::Test
         : link("pcie", eq, PcieLinkParams{}, &root),
           qp(64)
     {
+        makeFetcher(DeviceParams{}.burstSize);
+    }
+
+    /** (Re)build the fetcher, reading @p burst descriptors per DMA
+     *  burst. */
+    void
+    makeFetcher(std::uint32_t burst)
+    {
         DeviceParams params;
         params.latency = microseconds(1);
+        params.burstSize = burst;
+        fetcher.reset(); // frees the "fetch0" stat group for reuse
         fetcher = std::make_unique<RequestFetcher>(
             "fetch0", eq, 0, params, qp, link, nanoseconds(60),
             [this](const CompletionDescriptor &c) {
@@ -145,38 +154,48 @@ TEST_F(FetcherFixture, RacedSubmissionSweptAfterFlagWrite)
 // Regression for the doorbell-clear race: the fetcher may park ONLY
 // with the doorbell-request flag published (now a KMU_INVARIANT in
 // the park path — parking with the flag clear strands any descriptor
-// whose submitter saw the clear flag and skipped its doorbell). Here
-// truncation faults force many extra empty bursts and park/sweep
-// rounds; every one of them must leave the protocol in the legal
-// parked state, with nothing stranded and no invariant tripped.
+// whose submitter saw the clear flag and skipped its doorbell). With
+// bursts smaller than a round's four submissions, every round drains
+// the ring over several bursts, the last one partial at burst size 3,
+// before the empty burst that parks; every park must leave the
+// protocol in the legal parked state, with nothing stranded and no
+// invariant tripped.
 TEST_F(FetcherFixture, ParkingAlwaysPublishesDoorbellFlag)
 {
     RoleGuard host(qp.hostRole); // single-threaded sim: test is host
-    fault::FaultPlan plan(0xdb01);
-    plan.set(fault::FaultSite::DescFetchTruncation, {.rate = 0.5});
-    fault::ScopedPlan active(plan);
     const std::uint64_t violationsBefore = check::violationCount();
 
-    for (int round = 0; round < 8; ++round) {
-        for (std::uint64_t i = 0; i < 4; ++i)
-            ASSERT_TRUE(qp.submit({i * 64, round * 100ull + i}));
-        ASSERT_TRUE(qp.consumeDoorbellRequest());
-        fetcher->ringDoorbell();
-        eq.run();
-        // Parked, flag republished, nothing left in the ring.
-        EXPECT_FALSE(fetcher->fetching());
-        EXPECT_TRUE(qp.doorbellRequested());
-        std::vector<RequestDescriptor> leftover;
-        {
-            // Inspect the ring from the (now parked) device side.
-            RoleGuard device(qp.deviceRole);
-            qp.fetchBurst(leftover, 8);
+    for (const std::uint32_t burst : {1u, 3u}) {
+        makeFetcher(burst);
+        completions.clear();
+        for (int round = 0; round < 8; ++round) {
+            for (std::uint64_t i = 0; i < 4; ++i)
+                ASSERT_TRUE(qp.submit({i * 64, round * 100ull + i}));
+            ASSERT_TRUE(qp.consumeDoorbellRequest());
+            fetcher->ringDoorbell();
+            eq.run();
+            // Parked, flag republished, nothing left in the ring.
+            EXPECT_FALSE(fetcher->fetching());
+            EXPECT_TRUE(qp.doorbellRequested());
+            std::vector<RequestDescriptor> leftover;
+            {
+                // Inspect the ring from the (now parked) device side.
+                RoleGuard device(qp.deviceRole);
+                qp.fetchBurst(leftover, 8);
+            }
+            EXPECT_TRUE(leftover.empty()) << "stranded descriptors";
+            // The round ended on the park path, not mid-drain.
+            EXPECT_EQ(fetcher->emptyBursts.value(),
+                      std::uint64_t(round) + 1)
+                << "burst " << burst << " round " << round;
         }
-        EXPECT_TRUE(leftover.empty()) << "stranded descriptors";
+        EXPECT_EQ(completions.size(), 32u) << "burst " << burst;
+        // Reap, so the next burst size starts on an empty CQ.
+        CompletionDescriptor c;
+        while (qp.reapCompletion(c))
+            ;
     }
-    EXPECT_EQ(completions.size(), 32u);
     EXPECT_EQ(check::violationCount(), violationsBefore);
-    EXPECT_GT(plan.injected(fault::FaultSite::DescFetchTruncation), 0u);
 }
 
 // The ring-counter gauges surface the SPSC rings' push/reject/pop

@@ -27,17 +27,17 @@ TEST(FaultPlanTest, SameSeedSameSchedule)
 {
     FaultPlan a(123);
     FaultPlan b(123);
-    a.set(FaultSite::PcieTlpDrop, {.rate = 0.3});
-    b.set(FaultSite::PcieTlpDrop, {.rate = 0.3});
+    a.set(FaultSite::DescFetchTruncation, {.rate = 0.3});
+    b.set(FaultSite::DescFetchTruncation, {.rate = 0.3});
     for (int i = 0; i < 10000; ++i) {
-        ASSERT_EQ(a.shouldInject(FaultSite::PcieTlpDrop),
-                  b.shouldInject(FaultSite::PcieTlpDrop))
+        ASSERT_EQ(a.shouldInject(FaultSite::DescFetchTruncation),
+                  b.shouldInject(FaultSite::DescFetchTruncation))
             << "diverged at encounter " << i;
     }
-    EXPECT_EQ(a.injected(FaultSite::PcieTlpDrop),
-              b.injected(FaultSite::PcieTlpDrop));
-    EXPECT_GT(a.injected(FaultSite::PcieTlpDrop), 2000u);
-    EXPECT_LT(a.injected(FaultSite::PcieTlpDrop), 4000u);
+    EXPECT_EQ(a.injected(FaultSite::DescFetchTruncation),
+              b.injected(FaultSite::DescFetchTruncation));
+    EXPECT_GT(a.injected(FaultSite::DescFetchTruncation), 2000u);
+    EXPECT_LT(a.injected(FaultSite::DescFetchTruncation), 4000u);
 }
 
 TEST(FaultPlanTest, SitesDrawFromIsolatedStreams)
@@ -65,14 +65,14 @@ TEST(FaultPlanTest, SitesDrawFromIsolatedStreams)
 TEST(FaultPlanTest, RateZeroNeverFiresRateOneAlwaysFires)
 {
     FaultPlan plan(9);
-    plan.set(FaultSite::LfbFillStall, {.rate = 0.0});
+    plan.set(FaultSite::CompletionReorder, {.rate = 0.0});
     plan.set(FaultSite::OnDemandStall, {.rate = 1.0});
     for (int i = 0; i < 1000; ++i) {
-        EXPECT_FALSE(plan.shouldInject(FaultSite::LfbFillStall));
+        EXPECT_FALSE(plan.shouldInject(FaultSite::CompletionReorder));
         EXPECT_TRUE(plan.shouldInject(FaultSite::OnDemandStall));
     }
-    EXPECT_EQ(plan.injected(FaultSite::LfbFillStall), 0u);
-    EXPECT_EQ(plan.encounters(FaultSite::LfbFillStall), 1000u);
+    EXPECT_EQ(plan.injected(FaultSite::CompletionReorder), 0u);
+    EXPECT_EQ(plan.encounters(FaultSite::CompletionReorder), 1000u);
     EXPECT_EQ(plan.injected(FaultSite::OnDemandStall), 1000u);
 }
 
@@ -102,7 +102,7 @@ TEST(FaultPlanTest, DrawBoundedStaysInRange)
     bool sawHigh = false;
     for (int i = 0; i < 2000; ++i) {
         const std::uint64_t v =
-            plan.drawBounded(FaultSite::PcieLatencySpike, 8);
+            plan.drawBounded(FaultSite::ReplayEvictionStorm, 8);
         ASSERT_GE(v, 1u);
         ASSERT_LE(v, 8u);
         sawLow = sawLow || v == 1;
@@ -115,19 +115,19 @@ TEST(FaultPlanTest, DrawBoundedStaysInRange)
 TEST(FaultPlanTest, NoInstalledPlanIsInert)
 {
     ASSERT_EQ(fault::plan(), nullptr);
-    EXPECT_FALSE(fault::fire(FaultSite::PcieTlpDrop));
-    EXPECT_EQ(fault::draw(FaultSite::PcieTlpDrop, 100), 1u);
+    EXPECT_FALSE(fault::fire(FaultSite::ResponseBitFlip));
+    EXPECT_EQ(fault::draw(FaultSite::ResponseBitFlip, 100), 1u);
 
     FaultPlan plan(1);
-    plan.set(FaultSite::PcieTlpDrop, {.rate = 1.0});
+    plan.set(FaultSite::ResponseBitFlip, {.rate = 1.0});
     {
         fault::ScopedPlan active(plan);
-        EXPECT_TRUE(fault::fire(FaultSite::PcieTlpDrop));
+        EXPECT_TRUE(fault::fire(FaultSite::ResponseBitFlip));
     }
     // Uninstalled again on scope exit.
     EXPECT_EQ(fault::plan(), nullptr);
-    EXPECT_FALSE(fault::fire(FaultSite::PcieTlpDrop));
-    EXPECT_EQ(plan.encounters(FaultSite::PcieTlpDrop), 1u);
+    EXPECT_FALSE(fault::fire(FaultSite::ResponseBitFlip));
+    EXPECT_EQ(plan.encounters(FaultSite::ResponseBitFlip), 1u);
 }
 
 TEST(FaultPlanTest, CompositeCoversEverySite)

@@ -1,15 +1,21 @@
 # Fault-campaign gate: kmu_faultstorm must (a) survive a composite
 # fault schedule with zero verify errors / invariant violations and
 # the recovery machinery demonstrably firing (require_recovery=1
-# makes the tool enforce both), and (b) be deterministic — two runs
-# of the same campaign produce byte-identical CSVs.
+# makes the tool enforce both), (b) be deterministic — two runs of
+# the same campaign produce byte-identical CSVs — and (c) match the
+# committed artifact, so a change that reseeds a fault site's stream
+# (renumbering FaultSite, say) fails even though it stays
+# deterministic.
 #
 # Invoked by ctest as:
-#   cmake -DKMU_FAULTSTORM=<path> -DWORK_DIR=<dir>
+#   cmake -DKMU_FAULTSTORM=<path> -DARTIFACT_DIR=<dir> -DWORK_DIR=<dir>
 #         -P faultstorm_check.cmake
 
 if(NOT KMU_FAULTSTORM)
     message(FATAL_ERROR "pass -DKMU_FAULTSTORM=<path to kmu_faultstorm>")
+endif()
+if(NOT ARTIFACT_DIR)
+    message(FATAL_ERROR "pass -DARTIFACT_DIR=<committed CSV dir>")
 endif()
 if(NOT WORK_DIR)
     set(WORK_DIR ${CMAKE_CURRENT_BINARY_DIR})
@@ -43,5 +49,17 @@ if(NOT diff EQUAL 0)
         "fault injection or recovery is nondeterministic (compare "
         "faultstorm_a.csv and faultstorm_b.csv in ${WORK_DIR})")
 endif()
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORK_DIR}/faultstorm_a.csv
+            ${ARTIFACT_DIR}/faultstorm_campaign.csv
+    RESULT_VARIABLE diff)
+if(NOT diff EQUAL 0)
+    message(FATAL_ERROR
+        "faultstorm_a.csv differs from the committed artifact "
+        "faultstorm_campaign.csv: the seeded fault schedule or the "
+        "recovery path changed (fresh copy in ${WORK_DIR}; if the "
+        "change is intentional, regenerate and commit the CSV)")
+endif()
 message(STATUS "faultstorm check passed: recovery fired, CSVs "
-               "byte-identical")
+               "byte-identical and matching the committed artifact")

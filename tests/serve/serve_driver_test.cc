@@ -84,6 +84,17 @@ TEST(ServeDriverTest, AddressesCoverValueLinesBelowTagBits)
     EXPECT_LT(a1, Addr(1) << 48);
 }
 
+TEST(ServeDriverTest, KeyspaceProductMayNotWrapPastTheTagCheck)
+{
+    // 2^63 keys x 2 lines wraps a 64-bit product to 0; the keyspace
+    // check must still see it as far over the 2^42-line limit.
+    ServeConfig cfg = testCfg();
+    cfg.numKeys = std::uint64_t(1) << 63;
+    cfg.valueLines = 2;
+    EXPECT_FALSE(cfg.keyspaceFits());
+    EXPECT_DEATH(Harness h(cfg), "overflows the address tags");
+}
+
 TEST(ServeDriverTest, LatencyIncludesQueueingDelay)
 {
     // One lane, high offered load: bind the first request, sit on it

@@ -248,6 +248,16 @@ main(int argc, char **argv)
         }
     }
 
+    // keys and value_lines are each in range; their product must
+    // also stay below the address tags.
+    if (!cfg.serve.keyspaceFits()) {
+        toolargs::reportBadValue("kmu_sim", "keys",
+                                 std::to_string(cfg.serve.numKeys));
+        std::fprintf(stderr, "kmu_sim: keys x value_lines must stay "
+                             "below 2^42 cache lines\n");
+        usage();
+    }
+
     if (cfg.serve.enabled() && cfg.writeFraction != 0.0) {
         std::fprintf(stderr, "kmu_sim: serving mode models read "
                              "requests only (write_frac must be 0)\n");
