@@ -32,16 +32,20 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "access/runtime.hh"
 #include "access/sw_queue_engine.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "tools/tool_args.hh"
 #include "common/table.hh"
 #include "fault/fault_plan.hh"
 #include "health/health.hh"
+#include "sweep/sweep_runner.hh"
 
 using namespace kmu;
 using fault::FaultPlan;
@@ -194,6 +198,7 @@ main(int argc, char **argv)
     std::uint64_t seed = 1;
     std::uint64_t ops = 2500;
     std::uint64_t fibers = 8;
+    unsigned jobs = sweep::SweepRunner::envJobs();
 
     for (int i = 1; i < argc; ++i) {
         std::string key, value;
@@ -210,10 +215,13 @@ main(int argc, char **argv)
             ok = toolargs::parseU64(value, ops);
         } else if (key == "fibers") {
             ok = toolargs::parseU64(value, fibers);
-        } else if (key == "jobs" || key == "bench_json") {
+        } else if (key == "jobs") {
+            // The four cells are independent runs: they go to the
+            // figure benches' worker pool, merged by cell index.
+            ok = sweep::SweepRunner::parseJobs(value, jobs);
+        } else if (key == "bench_json") {
             // Accepted for driver compatibility: the figure-bench
-            // harness passes these, but this bench is a single
-            // deterministic process — there is nothing to shard.
+            // harness passes it, but this bench keeps no sweep log.
         } else {
             toolargs::reportUnknownKey("abl_outage", key);
             return 1;
@@ -251,10 +259,32 @@ main(int argc, char **argv)
                      "p50_polls", "p999_polls", "max_polls",
                      "total_polls"});
 
+    // Each cell runs in a fresh runtime of its own, so a worker
+    // computes it exactly as this process would; its CellResult
+    // comes back as raw bytes (same binary on both ends of the pipe).
+    static_assert(std::is_trivially_copyable_v<CellResult>);
+    sweep::SweepRunner pool;
+    const std::vector<sweep::SweepRunner::Payload> results =
+        pool.runPayloads(
+            std::size(cells),
+            [&](std::size_t i) {
+                const CellResult r = runCell(cells[i].mode,
+                                             cells[i].faults, seed,
+                                             ops, fibers);
+                sweep::SweepRunner::Payload bytes(sizeof r);
+                std::memcpy(bytes.data(), &r, sizeof r);
+                return bytes;
+            },
+            jobs);
+
     bool failed = false;
-    for (const Cell &c : cells) {
-        const CellResult r = runCell(c.mode, c.faults, seed, ops,
-                                     fibers);
+    for (std::size_t i = 0; i < std::size(cells); ++i) {
+        const Cell &c = cells[i];
+        kmuAssert(results[i].size() == sizeof(CellResult),
+                  "outage cell %zu came back with %zu bytes", i,
+                  results[i].size());
+        CellResult r;
+        std::memcpy(&r, results[i].data(), sizeof r);
         if (r.verifyErrors != 0 ||
             r.ok + r.deadlineErrors != r.issued)
             failed = true;

@@ -17,6 +17,8 @@
  * the single-core DRAM baseline.
  */
 
+#include <iterator>
+
 #include "apps/workloads.hh"
 #include "bench/fig_common.hh"
 
@@ -38,14 +40,31 @@ int
 main(int argc, char **argv)
 {
     // Capture the application access traces (functional runs). This
-    // happens once, before the two-pass figure body, so the capture
-    // printouts are not swallowed by the collect pass.
+    // is the figure's set-up: it happens before figureMain handles
+    // the arguments, so the capture printouts are not swallowed by
+    // the collect pass. Each capture is one point on the worker pool
+    // and comes back as one byte per access group, its batch size.
     AppWorkloadParams params;
     params.bfsScale = 13;
     params.bloomKeys = 30000;
     params.bloomQueries = 20000;
     params.kvItems = 20000;
     params.kvQueries = 10000;
+    const AppKind apps[] = {AppKind::Bfs, AppKind::Bloom,
+                            AppKind::Memcached};
+    sweep::SweepRunner pool;
+    const std::vector<sweep::SweepRunner::Payload> captured =
+        pool.runPayloads(
+            std::size(apps),
+            [&](std::size_t i) {
+                const AccessTrace trace =
+                    runAndTrace(apps[i], params).trace;
+                sweep::SweepRunner::Payload batches(trace.size());
+                for (std::size_t g = 0; g < trace.size(); ++g)
+                    batches[g] = std::uint8_t(trace.batchAt(g));
+                return batches;
+            },
+            sweep::SweepRunner::argvJobs(argc, argv));
 
     // Per-read benign work: the ported applications keep only the
     // core data-structure accesses plus a small dependent work loop
@@ -53,15 +72,16 @@ main(int argc, char **argv)
     // microbenchmark's default.
     constexpr std::uint32_t appWork = 100;
     std::vector<AppSeries> series;
-    for (AppKind app :
-         {AppKind::Bfs, AppKind::Bloom, AppKind::Memcached}) {
-        const auto out = runAndTrace(app, params);
-        series.push_back(AppSeries{appName(app),
-                                   out.trace.makePlan(appWork),
-                                   out.trace.meanBatch()});
-        std::cout << appName(app) << ": " << out.trace.size()
+    for (std::size_t i = 0; i < std::size(apps); ++i) {
+        AccessTrace trace;
+        for (const std::uint8_t batch : captured[i])
+            trace.add(batch);
+        series.push_back(AppSeries{appName(apps[i]),
+                                   trace.makePlan(appWork),
+                                   trace.meanBatch()});
+        std::cout << appName(apps[i]) << ": " << trace.size()
                   << " access groups, mean batch "
-                  << Table::num(out.trace.meanBatch(), 2) << "\n";
+                  << Table::num(trace.meanBatch(), 2) << "\n";
     }
     // The paper's 4-read microbenchmark comparator.
     series.push_back(AppSeries{

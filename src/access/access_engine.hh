@@ -33,16 +33,20 @@ enum class Mechanism
 const char *mechanismName(Mechanism mech);
 
 /**
- * Outcome of a bounded-latency access. Only the software-queue
- * engine under a Full health controller ever reports
+ * Outcome of a bounded access (the try* calls). Only the
+ * software-queue engine under a Full health controller ever reports
  * DeadlineExceeded: a request stuck on a quarantined shard past its
  * per-request deadline is failed back to the workload instead of
- * hanging it (the error is the bound).
+ * hanging it (the error is the bound). Only the memory-mapped
+ * engines report RetriesExhausted: a detected bad read failed again
+ * after every re-issue its RetryPolicy allows, and the access fails
+ * instead of aborting the process.
  */
 enum class AccessStatus
 {
     Ok,
-    DeadlineExceeded
+    DeadlineExceeded,
+    RetriesExhausted
 };
 
 class AccessEngine
@@ -60,11 +64,12 @@ class AccessEngine
     virtual std::uint64_t read64(Addr addr) = 0;
 
     /**
-     * Deadline-aware variant of read64(): under a Full health
-     * controller a stuck request returns DeadlineExceeded (with
-     * @p out unspecified) instead of blocking forever. Engines
-     * without a deadline path — and any engine with health off —
-     * always return Ok, so workloads can use this unconditionally.
+     * Bounded variant of read64(): an access that fails returns its
+     * AccessStatus (with @p out unspecified) instead of blocking
+     * forever or aborting — a stuck request under a Full health
+     * controller, or a mapped read out of retries. Without either
+     * failure path the result is always Ok, so workloads can use
+     * this unconditionally.
      */
     virtual AccessStatus
     tryRead64(Addr addr, std::uint64_t &out)
@@ -87,6 +92,15 @@ class AccessEngine
      */
     virtual void readLines(const Addr *addrs, std::size_t n,
                            void *out) = 0;
+
+    /** Bounded variant of readLines(), with tryRead64()'s statuses;
+     *  a failed batch leaves its failed lines unspecified. */
+    virtual AccessStatus
+    tryReadLines(const Addr *addrs, std::size_t n, void *out)
+    {
+        readLines(addrs, n, out);
+        return AccessStatus::Ok;
+    }
 
     /**
      * Write one full cache line (the paper's future-work write

@@ -35,17 +35,29 @@ class OnDemandEngine : public AccessEngine
                    fault::RetryPolicy policy = {});
 
     std::uint64_t read64(Addr addr) override;
+    AccessStatus tryRead64(Addr addr, std::uint64_t &out) override;
     void readBatch(const Addr *addrs, std::size_t n,
                    std::uint64_t *out) override;
     void readLines(const Addr *addrs, std::size_t n, void *out) override;
+    AccessStatus tryReadLines(const Addr *addrs, std::size_t n,
+                              void *out) override;
     void writeLine(Addr addr, const void *line) override;
     void write64(Addr addr, std::uint64_t value) override;
 
     Mechanism mechanism() const override { return Mechanism::OnDemand; }
 
   private:
-    /** One bounded-retry mapped access; @return retry count. */
-    std::uint32_t surviveMappedRead();
+    /**
+     * One bounded-retry mapped access. @return false when the read
+     * failed once more after maxRetries re-issues, which panics
+     * unless @p mayFail (a try* call that reports the failure).
+     */
+    bool surviveMappedRead(bool mayFail);
+
+    /** readLines(); false when a line's read failed (that line's
+     *  output is left alone). */
+    bool readLineBatch(const Addr *addrs, std::size_t n, void *out,
+                       bool mayFail);
 
     std::uint8_t *base;
     std::size_t bytes;

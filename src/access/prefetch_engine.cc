@@ -26,18 +26,25 @@ PrefetchEngine::degradedNow() const
     return governor != nullptr && governor->degraded();
 }
 
-std::uint32_t
-PrefetchEngine::surviveMappedRead(Addr addr, bool degraded)
+bool
+PrefetchEngine::surviveMappedRead(Addr addr, bool degraded,
+                                  bool mayFail)
 {
     // Detected bad mapped read: re-arm (prefetch + yield, unless the
     // governor already dropped us to on-demand) and re-issue,
-    // bounded by the retry policy.
+    // bounded by the retry policy; a read that fails past the budget
+    // fails the access.
     std::uint32_t attempts = 0;
+    bool ok = true;
     while (fault::fire(fault::FaultSite::MappedReadError)) {
+        if (attempts == retryPolicy.maxRetries) {
+            kmuAssert(mayFail, "mapped read failed %u consecutive times",
+                      attempts + 1);
+            ok = false;
+            break;
+        }
         attempts++;
         recoveryStats.retries++;
-        kmuAssert(attempts <= retryPolicy.maxRetries,
-                  "mapped read failed %u consecutive times", attempts);
         if (!degraded) {
             prefetch(addr);
             yieldCount++;
@@ -46,7 +53,7 @@ PrefetchEngine::surviveMappedRead(Addr addr, bool degraded)
     }
     if (governor)
         governor->sample(attempts > 0);
-    return attempts;
+    return ok;
 }
 
 void
@@ -75,11 +82,35 @@ PrefetchEngine::read64(Addr addr)
         yieldCount++;
         sched.yield();
     }
-    surviveMappedRead(addr, degraded);
+    surviveMappedRead(addr, degraded, false);
     std::uint64_t value;
     std::memcpy(&value, base + addr, sizeof(value));
     access_trace::readEnd();
     return value;
+}
+
+AccessStatus
+PrefetchEngine::tryRead64(Addr addr, std::uint64_t &out)
+{
+    // read64() with the failure reported; kept apart so the
+    // fault-free read64() stays one call deep.
+    kmuAssert(addr + 8 <= bytes, "read64 out of bounds: %#llx",
+              (unsigned long long)addr);
+    accessCount++;
+    access_trace::readBegin(1);
+    const bool degraded = degradedNow();
+    if (degraded) {
+        recoveryStats.degradedAccesses++;
+    } else {
+        prefetch(addr);
+        yieldCount++;
+        sched.yield();
+    }
+    const bool ok = surviveMappedRead(addr, degraded, true);
+    if (ok)
+        std::memcpy(&out, base + addr, sizeof(out));
+    access_trace::readEnd();
+    return ok ? AccessStatus::Ok : AccessStatus::RetriesExhausted;
 }
 
 void
@@ -102,14 +133,15 @@ PrefetchEngine::readBatch(const Addr *addrs, std::size_t n,
     accessCount += n;
     for (std::size_t i = 0; i < n; ++i) {
         kmuAssert(addrs[i] + 8 <= bytes, "readBatch out of bounds");
-        surviveMappedRead(addrs[i], degraded);
+        surviveMappedRead(addrs[i], degraded, false);
         std::memcpy(&out[i], base + addrs[i], sizeof(out[0]));
     }
     access_trace::readEnd();
 }
 
-void
-PrefetchEngine::readLines(const Addr *addrs, std::size_t n, void *out)
+bool
+PrefetchEngine::readLineBatch(const Addr *addrs, std::size_t n,
+                              void *out, bool mayFail)
 {
     kmuAssert(n <= maxBatch, "batch of %zu exceeds maxBatch", n);
     access_trace::readBegin(std::uint32_t(n));
@@ -129,16 +161,34 @@ PrefetchEngine::readLines(const Addr *addrs, std::size_t n, void *out)
         sched.yield();
     }
     accessCount += n;
+    bool ok = true;
     for (std::size_t i = 0; i < n; ++i) {
         kmuAssert(isLineAligned(addrs[i]), "readLines needs aligned "
                   "addresses");
         kmuAssert(addrs[i] + cacheLineSize <= bytes,
                   "readLines out of bounds");
-        surviveMappedRead(addrs[i], degraded);
-        std::memcpy(dst + i * cacheLineSize, base + addrs[i],
-                    cacheLineSize);
+        if (surviveMappedRead(addrs[i], degraded, mayFail))
+            std::memcpy(dst + i * cacheLineSize, base + addrs[i],
+                        cacheLineSize);
+        else
+            ok = false;
     }
     access_trace::readEnd();
+    return ok;
+}
+
+void
+PrefetchEngine::readLines(const Addr *addrs, std::size_t n, void *out)
+{
+    readLineBatch(addrs, n, out, false);
+}
+
+AccessStatus
+PrefetchEngine::tryReadLines(const Addr *addrs, std::size_t n, void *out)
+{
+    return readLineBatch(addrs, n, out, true)
+               ? AccessStatus::Ok
+               : AccessStatus::RetriesExhausted;
 }
 
 void

@@ -42,9 +42,12 @@ class PrefetchEngine : public AccessEngine
                    fault::RetryPolicy policy = {});
 
     std::uint64_t read64(Addr addr) override;
+    AccessStatus tryRead64(Addr addr, std::uint64_t &out) override;
     void readBatch(const Addr *addrs, std::size_t n,
                    std::uint64_t *out) override;
     void readLines(const Addr *addrs, std::size_t n, void *out) override;
+    AccessStatus tryReadLines(const Addr *addrs, std::size_t n,
+                              void *out) override;
 
     /** Plain stores: posted by the store buffer, so no yield is
      *  needed — exactly why the paper expects writes to hide. */
@@ -63,8 +66,17 @@ class PrefetchEngine : public AccessEngine
     /** True while the governor has the engine in on-demand mode. */
     bool degradedNow() const;
 
-    /** Bounded retry of a faulted mapped read; @return retries. */
-    std::uint32_t surviveMappedRead(Addr addr, bool degraded);
+    /**
+     * Bounded retry of a faulted mapped read. @return false when the
+     * read failed once more after maxRetries re-issues, which panics
+     * unless @p mayFail (a try* call that reports the failure).
+     */
+    bool surviveMappedRead(Addr addr, bool degraded, bool mayFail);
+
+    /** readLines(); false when a line's read failed (that line's
+     *  output is left alone). */
+    bool readLineBatch(const Addr *addrs, std::size_t n, void *out,
+                       bool mayFail);
 
     std::uint8_t *base;
     std::size_t bytes;

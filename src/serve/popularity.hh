@@ -8,6 +8,10 @@
  * normalizer zeta(n, theta) is computed once at construction, after
  * which each draw costs one uniform double and one pow(). Rank 0 is
  * the most popular key. theta = 0 degenerates to a uniform draw.
+ *
+ * Set-up stays bounded for any accepted keyspace: zeta is summed
+ * term by term up to zetaExactTerms keys and taken from an
+ * Euler–Maclaurin closed form past that.
  */
 
 #ifndef KMU_SERVE_POPULARITY_HH
@@ -21,6 +25,16 @@ namespace kmu
 {
 namespace serve
 {
+
+/** Keyspaces up to this size sum zeta term by term. */
+constexpr std::uint64_t zetaExactTerms = std::uint64_t(1) << 24;
+
+/** zeta(n, theta) = sum_{i=1..n} i^-theta, summed term by term. */
+double zetaSum(std::uint64_t n, double theta);
+
+/** zeta(n, theta) in O(1) for n > 64 and theta in (0, 1): the first
+ *  63 terms plus an Euler–Maclaurin tail. */
+double zetaClosedForm(std::uint64_t n, double theta);
 
 class ZipfSampler
 {

@@ -1,6 +1,5 @@
 #include "sweep/figure_runner.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -191,20 +190,6 @@ class NullBuf : public std::streambuf
     }
 };
 
-bool
-parseJobs(const std::string &value, unsigned &jobs)
-{
-    if (value.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-    if (errno != 0 || *end != '\0' || v > 4096)
-        return false;
-    jobs = unsigned(v);
-    return true;
-}
-
 } // anonymous namespace
 
 int
@@ -223,7 +208,7 @@ figureMain(int argc, char **argv, const std::string &figure,
         const std::string value =
             eq == std::string::npos ? "" : arg.substr(eq + 1);
         if (key == "jobs" && eq != std::string::npos &&
-            parseJobs(value, jobs))
+            sweep::SweepRunner::parseJobs(value, jobs))
             continue;
         if (key == "bench_json" && eq != std::string::npos) {
             bench_json = value;

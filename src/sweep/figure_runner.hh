@@ -10,16 +10,18 @@
  *
  *  1. COLLECT — run()/baseline()/normalized() record the config and
  *     return inert dummies (emit() and stdout are suppressed);
- *  2. the recorded points execute on a SweepRunner worker pool;
+ *  2. the recorded points execute on a SweepRunner worker pool,
+ *     whose workers claim them in whatever order they free up;
  *  3. RENDER — the body runs again; the k-th run() call returns the
  *     k-th recorded point's result, baselines resolve from the memo.
  *
  * Determinism argument: the body's control flow may depend on its
  * loop constants but never on result *values* (results only feed
- * formatting), so both passes make the same call sequence, and the
- * submission-order merge means every cell is computed by the exact
- * code that computed it serially — same process image, same
- * SimSystem seeding, same FP environment. kmuAssert guards the
+ * formatting), so both passes make the same call sequence. Each
+ * point is a pure function of its config, computed by the same code
+ * from the same process image, SimSystem seeding and FP environment
+ * whichever worker claims it, and results merge by point index, so
+ * the claim order never reaches a cell. kmuAssert guards the
  * sequence against a body that violates this contract.
  *
  * The plan-matched DRAM baseline of each workload shape is a sweep
@@ -105,6 +107,9 @@ class FigureRunner
  * (defaults: KMU_JOBS, KMU_BENCH_JSON or BENCH_sweep.json), runs
  * @p body through collect/execute/render, appends the figure's
  * self-measurement record, and prints a perf summary to stderr.
+ * Inputs a body needs before its collect pass (fig10's application
+ * traces) are computed ahead of this call, on a SweepRunner pool
+ * sized by SweepRunner::argvJobs().
  */
 int figureMain(int argc, char **argv, const std::string &figure,
                const std::function<void(FigureRunner &)> &body);

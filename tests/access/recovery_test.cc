@@ -137,6 +137,43 @@ TEST(RecoveryTest, OnDemandRetriesMappedReadErrors)
     EXPECT_EQ(rt.engine().accesses(), 2048u);
 }
 
+TEST(RecoveryTest, MappedReadOutOfRetriesFailsBackInsteadOfPanicking)
+{
+    // Every mapped read fails: each try* read spends its whole
+    // budget of 3 re-issues, then reports RetriesExhausted; a read
+    // on a clean plan still delivers the image.
+    for (const Mechanism mech :
+         {Mechanism::OnDemand, Mechanism::Prefetch}) {
+        Runtime rt(patternImage(imageBytes),
+                   {.mechanism = mech, .retry = {.maxRetries = 3}});
+        FaultPlan plan(18);
+        plan.set(FaultSite::MappedReadError, {.rate = 1.0});
+        AccessStatus word = AccessStatus::Ok;
+        AccessStatus line = AccessStatus::Ok;
+        std::uint64_t clean = 0;
+        rt.spawnWorker([&](AccessEngine &eng) {
+            std::uint64_t got = 0;
+            std::uint8_t buf[cacheLineSize];
+            const Addr addr = 128;
+            {
+                fault::ScopedPlan scoped(plan);
+                word = eng.tryRead64(addr, got);
+                line = eng.tryReadLines(&addr, 1, buf);
+            }
+            EXPECT_EQ(eng.tryRead64(addr, clean), AccessStatus::Ok);
+        });
+        rt.run();
+        EXPECT_EQ(word, AccessStatus::RetriesExhausted)
+            << mechanismName(mech);
+        EXPECT_EQ(line, AccessStatus::RetriesExhausted)
+            << mechanismName(mech);
+        EXPECT_EQ(rt.engine().recovery().retries, 6u)
+            << mechanismName(mech);
+        EXPECT_EQ(clean, mix64(128)) << mechanismName(mech);
+        EXPECT_EQ(rt.engine().accesses(), 3u) << mechanismName(mech);
+    }
+}
+
 TEST(RecoveryTest, GovernorDegradesPrefetchUnderPressureThenRecovers)
 {
     // A widened retry budget: at 50 % burst pressure a run of 17

@@ -1,0 +1,63 @@
+# Retry-exhaustion gate: at fault rate 0.02 the composite schedule's
+# bursts (MappedReadError at 0.8) make some memory-mapped reads fail
+# on every re-issue their retry budget allows. The campaign must not
+# panic on them: each such read is failed back to the workload and
+# counted in deadline_failed, so every read the campaign issues is
+# either verified or counted as failed, and none verifies wrong data.
+#
+# Invoked by ctest as:
+#   cmake -DKMU_FAULTSTORM=<path> -DWORK_DIR=<dir>
+#         -P faultstorm_exhaustion_check.cmake
+
+if(NOT KMU_FAULTSTORM)
+    message(FATAL_ERROR "pass -DKMU_FAULTSTORM=<path to kmu_faultstorm>")
+endif()
+if(NOT WORK_DIR)
+    set(WORK_DIR ${CMAKE_CURRENT_BINARY_DIR})
+endif()
+
+foreach(mech ondemand prefetch)
+    set(csv ${WORK_DIR}/faultstorm_exhaustion_${mech}.csv)
+    execute_process(
+        COMMAND ${KMU_FAULTSTORM} seed=1 rates=0.02 mechanisms=${mech}
+                ops=1000 fibers=4
+        OUTPUT_FILE ${csv}
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+            "kmu_faultstorm mechanisms=${mech} rates=0.02 failed "
+            "(rc=${rc}): an exhausted retry budget panicked, or a read "
+            "verified wrong data: ${err}")
+    endif()
+
+    # Columns (0-based): 5 ops, 6 verify_errors, 7 deadline_failed,
+    # 8 accesses, 25 violations.
+    file(STRINGS ${csv} rows)
+    list(GET rows 1 row)
+    string(REPLACE "," ";" cells "${row}")
+    list(GET cells 5 ops)
+    list(GET cells 6 verify_errors)
+    list(GET cells 7 failed)
+    list(GET cells 8 accesses)
+    list(GET cells 25 violations)
+    if(NOT verify_errors EQUAL 0 OR NOT violations EQUAL 0)
+        message(FATAL_ERROR
+            "${mech}: ${verify_errors} verify errors, ${violations} "
+            "invariant violations (row: ${row})")
+    endif()
+    if(NOT accesses EQUAL ops)
+        message(FATAL_ERROR
+            "${mech}: ${accesses} reads for ${ops} operations; every "
+            "operation issues exactly one read (row: ${row})")
+    endif()
+    if(NOT failed GREATER 0)
+        message(FATAL_ERROR
+            "${mech}: no read ran out of retries, so this gate no "
+            "longer exercises retry exhaustion (row: ${row})")
+    endif()
+    math(EXPR verified "${ops} - ${failed}")
+    message(STATUS
+        "${mech}: ${verified} reads verified, ${failed} failed back "
+        "after exhausting their retries, of ${ops}")
+endforeach()

@@ -126,3 +126,29 @@ TEST(PopularityTest, SameSeedSameDraws)
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(zipf.draw(a), zipf.draw(b));
 }
+
+TEST(PopularityTest, ClosedFormZetaMatchesTheExactSum)
+{
+    // One key past the exact-sum limit, where the sampler switches
+    // to the closed form: both must agree to 1e-12 (the term-by-term
+    // sum's own rounding is a few 1e-13 here).
+    const std::uint64_t n = zetaExactTerms + 1;
+    for (const double theta : {0.5, 0.99}) {
+        const double exact = zetaSum(n, theta);
+        const double closed = zetaClosedForm(n, theta);
+        EXPECT_LT(std::fabs(closed - exact) / exact, 1e-12)
+            << "theta " << theta;
+    }
+}
+
+TEST(PopularityTest, HugeKeyspaceSetUpIsBounded)
+{
+    // 2^42 - 1 keys (the largest keyspace kmu_sim accepts) would
+    // take hours to sum term by term.
+    const std::uint64_t n = (std::uint64_t(1) << 42) - 1;
+    ZipfSampler zipf(n, 0.99);
+    Rng rng(3);
+    for (int i = 0; i < 10000; ++i)
+        EXPECT_LT(zipf.draw(rng), n);
+    EXPECT_GT(zipf.rankProbability(0), zipf.rankProbability(1));
+}

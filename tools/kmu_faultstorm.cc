@@ -13,9 +13,12 @@
  * Every workload is self-validating: reads are checked against the
  * image's known mix64 pattern and writes are read back, so a fault
  * that the recovery path fails to absorb shows up as a verify error,
- * not just a slow run. The campaign is deterministic — fixed seed and
- * rates produce a byte-identical CSV (the software-queue mechanism
- * runs the emulated device in manual-pump mode for this).
+ * not just a slow run. A read the engine fails back instead (a
+ * deadline error, or a mapped read still bad after its whole retry
+ * budget) is counted in the deadline_failed column, so every read is
+ * either verified or counted. The campaign is deterministic — fixed
+ * seed and rates produce a byte-identical CSV (the software-queue
+ * mechanism runs the emulated device in manual-pump mode for this).
  *
  * Exit status is nonzero when any verify error or invariant
  * violation occurred, or when require_recovery=1 and a nonzero-rate
@@ -101,7 +104,9 @@ patternImage(std::size_t bytes)
 struct CellResult
 {
     std::uint64_t verifyErrors = 0;
-    std::uint64_t deadlineFailed = 0; //!< reads failed at deadline
+    /** Reads failed back to the workload: past a deadline, or a
+     *  mapped read out of retries. */
+    std::uint64_t deadlineFailed = 0;
     std::uint64_t accesses = 0;
     std::uint64_t writes = 0;
     AccessEngine::RecoveryCounters rec;
@@ -182,8 +187,10 @@ runCell(Mechanism mech, FaultPlan *plan, std::uint64_t seed,
                         }
                         continue;
                     }
-                    eng.readLines(&addr, 1, back);
-                    if (std::memcmp(line, back, cacheLineSize) != 0)
+                    if (eng.tryReadLines(&addr, 1, back) !=
+                        AccessStatus::Ok)
+                        out.deadlineFailed++;
+                    else if (std::memcmp(line, back, cacheLineSize) != 0)
                         out.verifyErrors++;
                     continue;
                 }
