@@ -38,7 +38,7 @@ const char *mechanismName(Mechanism mech);
  * DeadlineExceeded: a request stuck on a quarantined shard past its
  * per-request deadline is failed back to the workload instead of
  * hanging it (the error is the bound). Only the memory-mapped
- * engines report RetriesExhausted: a detected bad read failed again
+ * engine reports RetriesExhausted: a detected bad read failed again
  * after every re-issue its RetryPolicy allows, and the access fails
  * instead of aborting the process.
  */

@@ -1,7 +1,6 @@
 #include "access/runtime.hh"
 
-#include "access/on_demand_engine.hh"
-#include "access/prefetch_engine.hh"
+#include "access/mapped_engine.hh"
 #include "access/sw_queue_engine.hh"
 #include "common/logging.hh"
 
@@ -17,15 +16,11 @@ Runtime::Runtime(std::vector<std::uint8_t> device_image, Config config)
 
     switch (cfg.mechanism) {
       case Mechanism::OnDemand:
-        mappedRegion = std::move(device_image);
-        accessEngine = std::make_unique<OnDemandEngine>(
-            mappedRegion.data(), imageBytes, &governor, cfg.retry);
-        break;
       case Mechanism::Prefetch:
         mappedRegion = std::move(device_image);
-        accessEngine = std::make_unique<PrefetchEngine>(
-            mappedRegion.data(), imageBytes, sched, &governor,
-            cfg.retry);
+        accessEngine = std::make_unique<MappedEngine>(
+            cfg.mechanism, mappedRegion.data(), imageBytes, sched,
+            &governor, cfg.retry);
         break;
       case Mechanism::SwQueue: {
         kmuAssert(cfg.shards >= 1 && cfg.shards <= topo::maxShards,

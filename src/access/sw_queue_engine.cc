@@ -466,6 +466,7 @@ SwQueueEngine::reissueWrite(std::size_t slot)
         if (shardLive[ws.shard] > 0)
             shardLive[ws.shard]--;
         shardLive[shard]++;
+        ws.leftRing = ws.leftRing || ws.outstanding > 0;
     }
     ws.shard = shard;
     const RequestDescriptor desc =
@@ -553,26 +554,39 @@ SwQueueEngine::drainPair(std::uint32_t s)
         const std::uint8_t tag = RequestDescriptor::hostTag(comp.hostAddr);
 
         // Posted-write completion: recycle the staging buffer once
-        // every attempt that DMA-reads it has been answered.
+        // no attempt can still DMA-read it (WriteState::leftRing).
         auto write_it = stagingIndex.find(buf);
         if (write_it != stagingIndex.end()) {
             const std::size_t slot = write_it->second;
             WriteState &ws = writeState[slot];
+            if ((!ws.pending && !ws.held) ||
+                std::uint8_t(tag - ws.firstGen) >
+                    std::uint8_t(ws.gen - ws.firstGen)) {
+                // Late twin of the slot's previous write, which read
+                // the buffer before that write's live attempt
+                // completed on the same ring.
+                recoveryStats.staleCompletions++;
+                continue;
+            }
             if (ws.outstanding > 0)
                 ws.outstanding--;
             if (!ws.pending || ws.gen != tag) {
                 // Twin of a write the watchdog already re-issued (or
                 // whose retry already completed). If it was the last
-                // attempt holding an already-acknowledged slot, the
-                // staging buffer is finally safe to hand out again.
+                // attempt holding an acknowledged slot, the staging
+                // buffer is finally safe to hand out again.
                 recoveryStats.staleCompletions++;
-                if (!ws.pending && ws.outstanding == 0)
+                if (ws.held && ws.outstanding == 0) {
+                    ws.held = false;
                     freeStaging.push_back(slot);
+                }
                 continue;
             }
             ws.pending = false;
-            if (ws.outstanding == 0)
+            if (!ws.leftRing || ws.outstanding == 0)
                 freeStaging.push_back(slot);
+            else
+                ws.held = true;
             inFlight--;
             if (controller != nullptr) {
                 shardSignals[ws.shard].completions++;
@@ -659,11 +673,11 @@ SwQueueEngine::writeLine(Addr addr, const void *line)
     std::memcpy(&staging[slot]->line[0], line, cacheLineSize);
 
     WriteState &ws = writeState[slot];
-    kmuAssert(ws.outstanding == 0,
-              "recycled staging slot %zu still has attempts in "
-              "flight", slot);
     ws.pending = true;
     ws.gen = std::uint8_t(ws.gen + 1u);
+    ws.firstGen = ws.gen;
+    ws.outstanding = 0;
+    ws.leftRing = false;
     ws.line = addr;
     ws.attempts = 0;
     ws.issuedAt = pollTick;

@@ -251,20 +251,31 @@ class SwQueueEngine : public AccessEngine
     {
         bool pending = false;
         std::uint8_t gen = 0;
+        /** Generation of this write's first attempt: a completion
+         *  tagged outside [firstGen, gen] is a late twin of the
+         *  slot's previous write. */
+        std::uint8_t firstGen = 0;
         Addr line = 0; //!< device line address, for re-issue
         std::uint64_t deadlineAt = 0; //!< pollTick re-issue deadline
         std::uint32_t attempts = 0;
         std::uint32_t shard = 0;      //!< current routed shard
         std::uint64_t issuedAt = 0;   //!< pollTick of first submit
+        /** Attempts submitted but not yet answered (stale twins
+         *  included). */
+        std::uint32_t outstanding = 0;
         /**
-         * Attempts submitted but not yet answered (stale twins
-         * included). The staging slot recycles only at zero: a twin
-         * parked on a hung ring DMA-reads the staging buffer when
-         * the ring finally drains, so handing the buffer to a new
+         * A failover re-issue left attempts on another ring. Each
+         * ring is serviced in FIFO order, so once the live attempt
+         * completes every earlier attempt on its ring has read the
+         * staging buffer, and the slot recycles at once. A twin
+         * parked on another (possibly hung) ring reads the buffer
+         * whenever that ring drains, so such a slot is `held` until
+         * `outstanding` reaches zero: handing the buffer to a new
          * write before then would graft the new payload onto the
          * old write's line address.
          */
-        std::uint32_t outstanding = 0;
+        bool leftRing = false;
+        bool held = false; //!< acknowledged, waiting on those twins
         /** Program-order stamp: routeForOrdered follows the newest
          *  pending write of a line, and poll ticks alone cannot
          *  order two writes submitted in the same tick. */

@@ -284,7 +284,10 @@ EmulatedDevice::completeRequest(Pair &pair, const RequestDescriptor &desc)
     KMU_REQUIRES(pair.queues.deviceRole)
 {
     const Addr line = desc.lineAddr();
-    kmuAssert(line + cacheLineSize <= data.size(),
+    // Checked as line <= size - 64, so that a line within 64 bytes
+    // of 2^64 cannot wrap past it.
+    kmuAssert(data.size() >= cacheLineSize &&
+                  line <= data.size() - cacheLineSize,
               "device access beyond backing store: %#llx",
               (unsigned long long)line);
 

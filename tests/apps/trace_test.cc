@@ -9,7 +9,7 @@
 #include <fstream>
 #include <string>
 
-#include "access/on_demand_engine.hh"
+#include "access/mapped_engine.hh"
 #include "apps/access_trace.hh"
 
 namespace kmu
@@ -32,7 +32,9 @@ TEST(AccessTraceTest, RecordsBatchesAndTotals)
 TEST(AccessTraceTest, TracingEngineCapturesCalls)
 {
     std::vector<std::uint8_t> image(8192, 0);
-    OnDemandEngine inner(image.data(), image.size());
+    Scheduler sched;
+    MappedEngine inner(Mechanism::OnDemand, image.data(), image.size(),
+                       sched);
     AccessTrace trace;
     TracingEngine traced(inner, trace);
 

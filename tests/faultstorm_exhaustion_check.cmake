@@ -5,6 +5,12 @@
 # counted in deadline_failed, so every read the campaign issues is
 # either verified or counted as failed, and none verifies wrong data.
 #
+# Staging-exhaustion gate: on the software-queue engine, lost write
+# completions must not leak the 32 posted-write staging slots. Each
+# of these campaigns once leaked them all and spun in writeLine; each
+# must now finish inside a 20 s timeout, with every read verified or
+# counted as failed.
+#
 # Invoked by ctest as:
 #   cmake -DKMU_FAULTSTORM=<path> -DWORK_DIR=<dir>
 #         -P faultstorm_exhaustion_check.cmake
@@ -60,4 +66,38 @@ foreach(mech ondemand prefetch)
     message(STATUS
         "${mech}: ${verified} reads verified, ${failed} failed back "
         "after exhausting their retries, of ${ops}")
+endforeach()
+
+foreach(cell "0.07;1000" "0.06;3000" "0.03;6000" "0.01;16000")
+    list(GET cell 0 rate)
+    list(GET cell 1 ops_per_fiber)
+    set(csv ${WORK_DIR}/faultstorm_staging_${rate}.csv)
+    execute_process(
+        COMMAND ${KMU_FAULTSTORM} seed=1 rates=${rate}
+                mechanisms=swqueue ops=${ops_per_fiber} fibers=4
+        OUTPUT_FILE ${csv}
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc
+        TIMEOUT 20)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+            "kmu_faultstorm mechanisms=swqueue rates=${rate} "
+            "ops=${ops_per_fiber} failed (rc=${rc}): a hang here is "
+            "writeLine waiting for a leaked staging slot: ${err}")
+    endif()
+    file(STRINGS ${csv} rows)
+    list(GET rows 1 row)
+    string(REPLACE "," ";" cells "${row}")
+    list(GET cells 5 ops)
+    list(GET cells 6 verify_errors)
+    list(GET cells 8 accesses)
+    list(GET cells 25 violations)
+    if(NOT verify_errors EQUAL 0 OR NOT violations EQUAL 0 OR
+       NOT accesses EQUAL ops)
+        message(FATAL_ERROR
+            "swqueue rates=${rate}: ${verify_errors} verify errors, "
+            "${violations} invariant violations, ${accesses} reads for "
+            "${ops} operations (row: ${row})")
+    endif()
+    message(STATUS "swqueue rates=${rate}: ${ops} reads finished")
 endforeach()
