@@ -36,10 +36,11 @@ const char *mechanismName(Mechanism mech);
  * Outcome of a bounded access (the try* calls). Only the
  * software-queue engine under a Full health controller ever reports
  * DeadlineExceeded: a request stuck on a quarantined shard past its
- * per-request deadline is failed back to the workload instead of
- * hanging it (the error is the bound). Only the memory-mapped
- * engine reports RetriesExhausted: a detected bad read failed again
- * after every re-issue its RetryPolicy allows, and the access fails
+ * per-request deadline, or out of retries, is failed back to the
+ * workload instead of hanging it (the error is the bound). Any other
+ * engine reports RetriesExhausted for a read that failed again after
+ * every re-issue its RetryPolicy allows (a bad mapped read, or a
+ * lost or corrupted software-queue completion), and the access fails
  * instead of aborting the process.
  */
 enum class AccessStatus
@@ -67,7 +68,7 @@ class AccessEngine
      * Bounded variant of read64(): an access that fails returns its
      * AccessStatus (with @p out unspecified) instead of blocking
      * forever or aborting — a stuck request under a Full health
-     * controller, or a mapped read out of retries. Without either
+     * controller, or a read out of retries. Without either
      * failure path the result is always Ok, so workloads can use
      * this unconditionally.
      */

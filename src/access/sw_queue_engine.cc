@@ -13,15 +13,6 @@ namespace kmu
 {
 
 SwQueueEngine::SwQueueEngine(Scheduler &scheduler, EmulatedDevice &device,
-                             std::size_t pair,
-                             fault::DegradationGovernor *gov,
-                             fault::RetryPolicy policy)
-    : SwQueueEngine(scheduler, device, std::vector<std::size_t>{pair},
-                    topo::Interleave::CacheLine, gov, policy)
-{
-}
-
-SwQueueEngine::SwQueueEngine(Scheduler &scheduler, EmulatedDevice &device,
                              std::vector<std::size_t> pair_list,
                              topo::Interleave interleave,
                              fault::DegradationGovernor *gov,
@@ -178,21 +169,28 @@ SwQueueEngine::routeForOrdered(Addr line, std::size_t excludeSlot)
 }
 
 void
-SwQueueEngine::failRead(FiberIo &io, std::size_t slot)
+SwQueueEngine::failRead(FiberIo &io, std::size_t slot, AccessStatus status)
 {
-    kmuAssert(io.pending[slot], "deadline-failing an idle slot");
+    kmuAssert(io.pending[slot], "failing an idle slot");
     io.pending[slot] = false;
-    io.failed[slot] = true;
+    io.status[slot] = status;
     // The failed attempt (and any twins) may still be queued on a
     // hung ring; the slot must not reuse their response buffer.
     quarantineBufferIfLive(io, slot);
-    recoveryStats.deadlineErrors++;
+    if (status == AccessStatus::DeadlineExceeded)
+        recoveryStats.deadlineErrors++;
     if (controller != nullptr && shardLive[io.shard[slot]] > 0)
         shardLive[io.shard[slot]]--;
-    kmuAssert(io.outstanding > 0, "deadline fail with no outstanding");
+    slotDone(io);
+}
+
+void
+SwQueueEngine::slotDone(FiberIo &io)
+{
+    kmuAssert(io.outstanding > 0, "completion overflow for fiber");
     io.outstanding--;
     inFlight--;
-    if (io.outstanding == 0)
+    if (io.outstanding == 0 && io.fiber->state() == FiberState::Blocked)
         sched.unblock(*io.fiber);
 }
 
@@ -259,7 +257,7 @@ SwQueueEngine::submitAndWait(const Addr *addrs, std::size_t n)
         io.gen[i] = std::uint8_t(io.gen[i] + 1u);
         io.line[i] = lineAlign(addrs[i]);
         io.attempts[i] = 0;
-        io.failed[i] = false;
+        io.status[i] = AccessStatus::Ok;
         io.issuedAt[i] = pollTick;
         io.deadlineAt[i] = pollTick + backoff.deadlinePolls(1);
         const std::uint32_t shard = routeForOrdered(io.line[i]);
@@ -272,25 +270,31 @@ SwQueueEngine::submitAndWait(const Addr *addrs, std::size_t n)
                         &io.buffers[i][0]),
                     io.gen[i]),
                 shard));
+        inFlight++;
+        accessCount++;
         SwQueuePair &qp = *pairs[shard];
         RoleGuard host(qp.hostRole); // engine fibers are the host side
-        while (!qp.submit(desc)) {
+        bool submitted = false;
+        while (io.pending[i] && !(submitted = qp.submit(desc))) {
             // Request ring full: let other fibers and the device
-            // make progress, then retry.
+            // make progress, then retry. The watchdog may fail the
+            // slot back (or a re-issue answer it) meanwhile; its
+            // descriptor is then no longer needed.
             if (controller != nullptr)
                 shardSignals[shard].rejects++;
             stalledWait();
             sched.yield();
         }
+        if (!submitted)
+            continue;
         bufStates.at(reinterpret_cast<Addr>(io.buffers[i]))
             .outstanding++;
         if (controller != nullptr)
             shardLive[shard]++;
-        accessCount++;
     }
-    inFlight += n;
     doorbellIfRequested();
-    sched.block();
+    if (io.outstanding > 0)
+        sched.block();
     kmuAssert(io.outstanding == 0, "fiber woken with requests pending");
     access_trace::readEnd();
     return io;
@@ -299,15 +303,11 @@ SwQueueEngine::submitAndWait(const Addr *addrs, std::size_t n)
 std::uint64_t
 SwQueueEngine::read64(Addr addr)
 {
-    FiberIo &io = submitAndWait(&addr, 1);
-    kmuAssert(!io.failed[0],
-              "read64 of %#llx exceeded its deadline; use tryRead64 "
-              "under a Full health controller",
-              (unsigned long long)addr);
     std::uint64_t value;
-    const std::size_t offset = addr - lineAlign(addr);
-    kmuAssert(offset + 8 <= cacheLineSize, "read64 straddles lines");
-    std::memcpy(&value, &io.buffers[0][offset], sizeof(value));
+    const AccessStatus status = SwQueueEngine::tryRead64(addr, value);
+    kmuAssert(status == AccessStatus::Ok,
+              "read64 of %#llx failed back; use tryRead64 where an "
+              "access may fail", (unsigned long long)addr);
     return value;
 }
 
@@ -315,8 +315,8 @@ AccessStatus
 SwQueueEngine::tryRead64(Addr addr, std::uint64_t &out)
 {
     FiberIo &io = submitAndWait(&addr, 1);
-    if (io.failed[0])
-        return AccessStatus::DeadlineExceeded;
+    if (io.status[0] != AccessStatus::Ok)
+        return io.status[0];
     const std::size_t offset = addr - lineAlign(addr);
     kmuAssert(offset + 8 <= cacheLineSize, "read64 straddles lines");
     std::memcpy(&out, &io.buffers[0][offset], sizeof(out));
@@ -329,7 +329,8 @@ SwQueueEngine::readBatch(const Addr *addrs, std::size_t n,
 {
     FiberIo &io = submitAndWait(addrs, n);
     for (std::size_t i = 0; i < n; ++i) {
-        kmuAssert(!io.failed[i], "batch read %zu exceeded deadline", i);
+        kmuAssert(io.status[i] == AccessStatus::Ok,
+                  "batch read %zu failed back", i);
         const std::size_t offset = addrs[i] - lineAlign(addrs[i]);
         kmuAssert(offset + 8 <= cacheLineSize, "read straddles lines");
         std::memcpy(&out[i], &io.buffers[i][offset], sizeof(out[0]));
@@ -339,15 +340,28 @@ SwQueueEngine::readBatch(const Addr *addrs, std::size_t n,
 void
 SwQueueEngine::readLines(const Addr *addrs, std::size_t n, void *out)
 {
+    const AccessStatus status = SwQueueEngine::tryReadLines(addrs, n, out);
+    kmuAssert(status == AccessStatus::Ok,
+              "line read failed back; use tryReadLines where an "
+              "access may fail");
+}
+
+AccessStatus
+SwQueueEngine::tryReadLines(const Addr *addrs, std::size_t n, void *out)
+{
     for (std::size_t i = 0; i < n; ++i)
         kmuAssert(isLineAligned(addrs[i]), "readLines needs alignment");
     FiberIo &io = submitAndWait(addrs, n);
     auto *dst = static_cast<std::uint8_t *>(out);
+    AccessStatus status = AccessStatus::Ok;
     for (std::size_t i = 0; i < n; ++i) {
-        kmuAssert(!io.failed[i], "line read %zu exceeded deadline", i);
-        std::memcpy(dst + i * cacheLineSize, &io.buffers[i][0],
-                    cacheLineSize);
+        if (io.status[i] != AccessStatus::Ok)
+            status = io.status[i];
+        else
+            std::memcpy(dst + i * cacheLineSize, &io.buffers[i][0],
+                        cacheLineSize);
     }
+    return status;
 }
 
 void
@@ -394,20 +408,21 @@ SwQueueEngine::reissueRead(FiberIo &io, std::size_t slot)
     // Bounded-latency contract: under a Full controller a request
     // that outlived its deadline (or its retry budget) fails back to
     // the workload instead of retrying forever against a shard that
-    // may never answer.
+    // may never answer. Without one, a read out of retries fails
+    // back as the mapped engine's does.
     if (deadlineMode() &&
         (pollTick - io.issuedAt[slot] >=
              controller->config().requestDeadlinePolls ||
          io.attempts[slot] >= backoff.policy().maxRetries)) {
-        failRead(io, slot);
+        failRead(io, slot, AccessStatus::DeadlineExceeded);
+        return;
+    }
+    if (io.attempts[slot] >= backoff.policy().maxRetries) {
+        failRead(io, slot, AccessStatus::RetriesExhausted);
         return;
     }
     recoveryStats.retries++;
     io.attempts[slot]++;
-    kmuAssert(io.attempts[slot] <= backoff.policy().maxRetries,
-              "read of line %#llx exhausted its %u retries",
-              (unsigned long long)io.line[slot],
-              backoff.policy().maxRetries);
     io.gen[slot] = std::uint8_t(io.gen[slot] + 1u);
     // Hedged re-issue: a quarantined natural owner re-routes to a
     // sibling shard (the backing store is shared, so any pair can
@@ -510,7 +525,7 @@ SwQueueEngine::watchdogScan()
                         controller->config().requestDeadlinePolls) {
                     if (controller != nullptr)
                         shardSignals[io.shard[slot]].retries++;
-                    failRead(io, slot);
+                    failRead(io, slot, AccessStatus::DeadlineExceeded);
                     continue;
                 }
                 recoveryStats.timeouts++;
@@ -641,9 +656,6 @@ SwQueueEngine::drainPair(std::uint32_t s)
             continue;
         }
         io.pending[slot] = false;
-        kmuAssert(io.outstanding > 0, "completion overflow for fiber");
-        io.outstanding--;
-        inFlight--;
         if (controller != nullptr) {
             shardSignals[io.shard[slot]].completions++;
             if (shardLive[io.shard[slot]] > 0)
@@ -651,8 +663,7 @@ SwQueueEngine::drainPair(std::uint32_t s)
         }
         if (governor)
             governor->sample(io.attempts[slot] > 0);
-        if (io.outstanding == 0)
-            sched.unblock(*io.fiber);
+        slotDone(io);
     }
     return count;
 }

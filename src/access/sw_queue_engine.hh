@@ -34,33 +34,25 @@ class SwQueueEngine : public AccessEngine
 {
   public:
     /**
+     * One queue pair per device shard, with line addresses routed by
+     * @p interleave (topo::shardOf). Every descriptor carries its
+     * shard id in hostAddr bits 56..61, so completions demux
+     * shard-safely. A one-element @p pairs list is a single device.
+     *
      * @param scheduler fiber scheduler (idle handler is installed).
      * @param device    running (or about-to-run) emulated device.
-     * @param pair      index of this engine's queue pair.
+     * @param pairs     device queue-pair index of each shard.
      * @param gov       shared degradation governor (optional): fed
      *                  one sample per completed logical access so
      *                  queue-path retry pressure shows in the EWMA.
      * @param policy    watchdog timeout / bounded-retry parameters.
-     */
-    SwQueueEngine(Scheduler &scheduler, EmulatedDevice &device,
-                  std::size_t pair,
-                  fault::DegradationGovernor *gov = nullptr,
-                  fault::RetryPolicy policy = {});
-
-    /**
-     * Sharded variant: one queue pair per device shard, with line
-     * addresses routed by @p interleave (topo::shardOf). Every
-     * descriptor carries its shard id in hostAddr bits 56..61, so
-     * completions demux shard-safely. A one-element @p pairs list is
-     * exactly the single-pair engine.
-     */
-    /**
-     * @param ctrl optional health controller (src/health): routes
-     *             new and re-issued requests away from quarantined
-     *             shards, fails requests stuck past their deadline,
-     *             and is fed per-shard signals every epochPolls poll
-     *             ticks. nullptr keeps every code path byte-identical
-     *             to a controller-free build.
+     * @param ctrl      optional health controller (src/health):
+     *                  routes new and re-issued requests away from
+     *                  quarantined shards, fails requests stuck past
+     *                  their deadline, and is fed per-shard signals
+     *                  every epochPolls poll ticks. nullptr keeps
+     *                  every code path byte-identical to a
+     *                  controller-free build.
      */
     SwQueueEngine(Scheduler &scheduler, EmulatedDevice &device,
                   std::vector<std::size_t> pairs,
@@ -74,6 +66,8 @@ class SwQueueEngine : public AccessEngine
     void readBatch(const Addr *addrs, std::size_t n,
                    std::uint64_t *out) override;
     void readLines(const Addr *addrs, std::size_t n, void *out) override;
+    AccessStatus tryReadLines(const Addr *addrs, std::size_t n,
+                              void *out) override;
 
     /**
      * Posted line write: copies @p line into a staging buffer,
@@ -141,8 +135,9 @@ class SwQueueEngine : public AccessEngine
         /** pollTick of first submit: the per-request deadline is
          *  measured from here, across re-issues. */
         std::uint64_t issuedAt[maxBatch] = {};
-        /** Slot failed with DeadlineExceeded this batch. */
-        bool failed[maxBatch] = {};
+        /** How the slot's read ended this batch: Ok unless it was
+         *  failed back. */
+        AccessStatus status[maxBatch] = {};
     };
 
     /** Get (or lazily create and register) the caller's IO state. */
@@ -199,9 +194,14 @@ class SwQueueEngine : public AccessEngine
                controller->config().mode == health::Mode::Full;
     }
 
-    /** Fail one read slot with DeadlineExceeded and wake its fiber
-     *  if it was the last outstanding request of the batch. */
-    void failRead(FiberIo &io, std::size_t slot);
+    /** Fail one read slot back with @p status. */
+    void failRead(FiberIo &io, std::size_t slot, AccessStatus status);
+
+    /** A slot of @p io finished: wake its fiber if that was the last
+     *  one and the fiber has blocked. A slot can fail, or its
+     *  re-issue complete, while the fiber is still in
+     *  submitAndWait's ring-full wait; it then skips blocking. */
+    void slotDone(FiberIo &io);
 
     /** Close the signal epoch and feed the controller, when due. */
     void healthEpochMaybe();
@@ -356,7 +356,7 @@ class SwQueueEngine : public AccessEngine
     WriteState writeState[stagingSlots];
 
     std::uint64_t writeSeq = 0; //!< program-order write stamp source
-    std::uint64_t inFlight = 0; //!< logical ops awaiting completion
+    std::uint64_t inFlight = 0; //!< issued ops awaiting completion
     std::uint64_t pollTick = 0; //!< watchdog clock: poll passes
     std::uint64_t devicePassesSeen = 0; //!< servicePasses() at last tick
     std::uint64_t doorbells = 0;

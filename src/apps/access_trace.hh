@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/system_config.hh"
@@ -56,14 +55,6 @@ class AccessTrace
      */
     std::function<IterationPlan(CoreId, ThreadId, std::uint64_t)>
     makePlan(std::uint32_t work) const;
-
-    /** Save as one batch size per line (plain text). */
-    void save(const std::string &path) const;
-
-    /** Load a trace saved by save(). Every line must hold one batch
-     *  size in [1, AccessEngine::maxBatch]; a malformed line or an
-     *  empty file exits via fatal() with "<path>:<line>: ...". */
-    static AccessTrace load(const std::string &path);
 
   private:
     std::vector<std::uint8_t> batches;

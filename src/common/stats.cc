@@ -71,75 +71,6 @@ Average::reset()
     maxValue = -std::numeric_limits<double>::infinity();
 }
 
-Histogram::Histogram(StatGroup &parent, std::string name, std::string desc,
-                     double lo, double width, std::size_t bins)
-    : StatBase(parent, std::move(name), std::move(desc)),
-      lowBound(lo), binWidth(width), counts(bins, 0)
-{
-    kmuAssert(width > 0.0, "histogram bin width must be positive");
-    kmuAssert(bins > 0, "histogram needs at least one bin");
-}
-
-void
-Histogram::sample(double value)
-{
-    sampleCount++;
-    sum += value;
-    if (value < lowBound) {
-        below++;
-        return;
-    }
-    const auto idx = std::size_t((value - lowBound) / binWidth);
-    if (idx >= counts.size())
-        above++;
-    else
-        counts[idx]++;
-}
-
-double
-Histogram::mean() const
-{
-    return sampleCount ? sum / double(sampleCount) : 0.0;
-}
-
-std::string
-Histogram::render() const
-{
-    std::string out = csprintf("n=%llu mean=%.3f [",
-                               (unsigned long long)sampleCount, mean());
-    out += csprintf("<%llu|", (unsigned long long)below);
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        out += csprintf("%llu", (unsigned long long)counts[i]);
-        if (i + 1 != counts.size())
-            out += " ";
-    }
-    out += csprintf("|>%llu]", (unsigned long long)above);
-    return out;
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    kmuAssert(other.lowBound == lowBound &&
-              other.binWidth == binWidth &&
-              other.counts.size() == counts.size(),
-              "cannot merge histograms of different shape");
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        counts[i] += other.counts[i];
-    below += other.below;
-    above += other.above;
-    sampleCount += other.sampleCount;
-    sum += other.sum;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    below = above = sampleCount = 0;
-    sum = 0.0;
-}
-
 LogHistogram::LogHistogram(StatGroup &parent, std::string name,
                            std::string desc, double lo,
                            std::size_t buckets)

@@ -8,7 +8,7 @@
  *
  *  - Counter:   a monotonically increasing event count / byte count.
  *  - Average:   running mean of sampled values (also tracks min/max).
- *  - Histogram: fixed-width linear bins with underflow/overflow.
+ *  - LogHistogram: power-of-two bins with underflow/overflow.
  *  - Gauge:     pull-based value read from its owner at dump time
  *               (bridges counters that live outside the stats
  *               package, e.g. lock-free ring counters).
@@ -118,42 +118,6 @@ class Gauge : public StatBase
   private:
     Source source;
     std::uint64_t baseline = 0;
-};
-
-/** Linear-bin histogram with underflow/overflow buckets. */
-class Histogram : public StatBase
-{
-  public:
-    /**
-     * @param lo     lower bound of the first bin.
-     * @param width  width of each bin (must be > 0).
-     * @param bins   number of bins between the outlier buckets.
-     */
-    Histogram(StatGroup &parent, std::string name, std::string desc,
-              double lo, double width, std::size_t bins);
-
-    void sample(double value);
-
-    /** Fold another histogram's counts in; shapes must match. */
-    void merge(const Histogram &other);
-
-    std::uint64_t samples() const { return sampleCount; }
-    std::uint64_t binCount(std::size_t i) const { return counts.at(i); }
-    std::uint64_t underflow() const { return below; }
-    std::uint64_t overflow() const { return above; }
-    double mean() const;
-
-    std::string render() const override;
-    void reset() override;
-
-  private:
-    double lowBound;
-    double binWidth;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t below = 0;
-    std::uint64_t above = 0;
-    std::uint64_t sampleCount = 0;
-    double sum = 0.0;
 };
 
 /**

@@ -25,9 +25,6 @@ constexpr Tick maxTick = ~Tick(0);
 /** Physical (device or host) byte address. */
 using Addr = std::uint64_t;
 
-/** Core clock cycles (dimensionless count, bound to a ClockDomain). */
-using Cycles = std::uint64_t;
-
 /** Identifier of a processor core in the simulated system. */
 using CoreId = std::uint32_t;
 

@@ -72,7 +72,7 @@ EmulatedDevice::doorbell(std::size_t index)
     // queue pair cannot strand permanently.
     if (fault::fire(fault::FaultSite::DoorbellLoss))
         return;
-    pairs[index]->parked.store(false, std::memory_order_release);
+    pairs[index]->queues.doorbellArrived();
 }
 
 void
@@ -111,9 +111,8 @@ EmulatedDevice::pump()
     kmuAssert(cfg.manual, "pump() only drives manual-mode devices");
     step++;
     bool busy = false;
-    const auto now = Clock::now();
     for (auto &pair : pairs)
-        busy |= servicePair(*pair, now);
+        busy |= servicePair(*pair, step);
     bumpSingleWriter(passes);
     return busy;
 }
@@ -127,7 +126,10 @@ EmulatedDevice::serviceLoop()
         bool busy = false;
         bool draining = false;
 
-        const auto now = Clock::now();
+        const std::uint64_t now = std::uint64_t(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now().time_since_epoch())
+                .count());
         for (auto &pair : pairs) {
             busy |= servicePair(*pair, now);
             draining |= !pair->inFlight.empty();
@@ -142,13 +144,16 @@ EmulatedDevice::serviceLoop()
 }
 
 bool
-EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
+EmulatedDevice::servicePair(Pair &pair, std::uint64_t now)
 {
     bool busy = false;
+    const std::uint64_t latency =
+        cfg.manual ? cfg.manualLatencySteps
+                   : std::uint64_t(cfg.latency.count());
 
     // Fetch stage: burst-read descriptors unless parked. An empty
-    // burst sets the doorbell-request flag and parks the fetcher,
-    // exactly like the hardware protocol.
+    // burst takes the queue pair's park step, exactly like the
+    // hardware protocol.
     // The whole service pass runs as the device side of the pair's
     // queue protocol (on the service thread, or on the host thread
     // *inside pump()* in manual mode — single-threaded either way).
@@ -160,17 +165,18 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
     // shardMask scopes the outage to chosen failure domains. A
     // hanging pair stops encountering the site, so consecutive
     // windows never merge into an unbounded outage.
-    if (cfg.manual ? step < pair.hangUntilStep : now < pair.hangUntil)
+    if (now < pair.hangUntil)
         return false;
     if (fault::fire(fault::FaultSite::DeviceHang, pair.traceLane)) {
+        // The window counts service steps; a threaded device takes
+        // one latency per step.
         const std::uint64_t window =
             fault::magnitude(fault::FaultSite::DeviceHang, 64);
-        pair.hangUntilStep = step + window;
-        pair.hangUntil = now + window * cfg.latency;
+        pair.hangUntil = now + window * (cfg.manual ? 1 : latency);
         return false;
     }
 
-    if (!pair.parked.load(std::memory_order_acquire)) {
+    if (!pair.queues.fetcherParked()) {
         std::vector<RequestDescriptor> &burst = pair.burst;
         burst.clear();
         // Truncation fault: the burst DMA read is cut short. Unread
@@ -179,29 +185,13 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
         if (fault::fire(fault::FaultSite::DescFetchTruncation))
             slots = std::size_t(fault::draw(
                 fault::FaultSite::DescFetchTruncation, descriptorBurst));
-        pair.queues.fetchBurst(burst, slots);
-        if (burst.empty()) {
-            // Park BEFORE publishing the doorbell-request flag, then
-            // re-check the queue once. A request submitted between
-            // our empty read and the flag publication would
-            // otherwise be stranded (its submitter saw the flag
-            // still clear and did not ring the doorbell). And a host
-            // that consumes the flag as soon as it is published
-            // rings a doorbell whose parked = false must land after
-            // our park store, never be overwritten by it.
-            pair.parked.store(true, std::memory_order_release);
-            pair.queues.requestDoorbell();
-            pair.queues.fetchBurst(burst);
-            if (!burst.empty())
-                pair.parked.store(false, std::memory_order_release);
-        }
-        if (!burst.empty()) {
+        if (pair.queues.fetchBurst(burst, slots) != 0 ||
+            pair.queues.park(burst) != 0) {
             busy = true;
             for (const RequestDescriptor &desc : burst)
                 trace::begin(trace::Kind::DescService, desc.hostAddr,
                              pair.traceLane, desc.isWrite() ? 1 : 0);
-            auto deadline = now + cfg.latency;
-            std::uint64_t ready = step + cfg.manualLatencySteps;
+            std::uint64_t ready = now + latency;
             for (const RequestDescriptor &desc : burst) {
                 if (pair.replayCheck) {
                     // Eviction storm: recorded entries are discarded
@@ -232,10 +222,8 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
                                 pair.traceLane)) {
                     const std::uint64_t factor = fault::magnitude(
                         fault::FaultSite::Brownout, 4);
-                    if (factor > 1) {
-                        deadline += (factor - 1) * cfg.latency;
-                        ready += (factor - 1) * cfg.manualLatencySteps;
-                    }
+                    if (factor > 1)
+                        ready += (factor - 1) * latency;
                 }
                 // On-demand module stall: this access is served from
                 // the slow on-board path and takes extra time.
@@ -245,10 +233,9 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
                         fault::FaultSite::OnDemandStall,
                         fault::magnitude(fault::FaultSite::OnDemandStall,
                                          8));
-                    deadline += extra * cfg.latency;
-                    ready += extra * cfg.manualLatencySteps;
+                    ready += extra * latency;
                 }
-                pair.inFlight.push_back(Pending{desc, deadline, ready});
+                pair.inFlight.push_back(Pending{desc, ready});
             }
         }
     }
@@ -256,10 +243,7 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
     // Delay stage: complete requests whose deadline has passed.
     // Bursts are fetched in order, so the deque front is oldest —
     // which also gives same-queue read-after-write ordering.
-    const auto isReady = [&](const Pending &p) {
-        return cfg.manual ? p.readyStep <= step : p.deadline <= now;
-    };
-    while (!pair.inFlight.empty() && isReady(pair.inFlight.front())) {
+    while (!pair.inFlight.empty() && pair.inFlight.front().ready <= now) {
         const Pending &pending = pair.inFlight.front();
         completeRequest(pair, pending.desc);
         bumpSingleWriter(serviced);

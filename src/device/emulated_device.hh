@@ -134,13 +134,14 @@ class EmulatedDevice
     }
 
   private:
-    using Clock = std::chrono::steady_clock;
+    // Device time is one integer: the pump step in manual mode,
+    // steady-clock nanoseconds otherwise. Service latency is
+    // manualLatencySteps or latency, in the same unit.
 
     struct Pending
     {
         RequestDescriptor desc;
-        Clock::time_point deadline;   //!< threaded mode
-        std::uint64_t readyStep = 0;  //!< manual mode
+        std::uint64_t ready = 0; //!< device time it completes at
     };
 
     struct Pair
@@ -164,13 +165,8 @@ class EmulatedDevice
         CompletionDescriptor held;
         bool holdValid = false;
         /** Device-hang fault window: the pair services nothing until
-         *  the step (manual) / time point (threaded) passes. */
-        std::uint64_t hangUntilStep = 0;
-        Clock::time_point hangUntil{};
-        /** Written by every doorbell, so on a line of its own: the
-         *  host's stores do not evict the device's pair state. */
-        alignas(64) std::atomic<bool> parked
-            KMU_ATOMIC_ROLE(host_clears, device_writes, device_reads){true};
+         *  device time reaches this. */
+        std::uint64_t hangUntil = 0;
     };
 
     /** Device thread main loop. */
@@ -178,7 +174,7 @@ class EmulatedDevice
 
     /** One scheduling pass over a pair; returns true if it did work.
      *  Runs as the device side of the pair's queue protocol. */
-    bool servicePair(Pair &pair, Clock::time_point now);
+    bool servicePair(Pair &pair, std::uint64_t now);
 
     /** Complete one request: data write, CRC, completion post. */
     void completeRequest(Pair &pair, const RequestDescriptor &desc)

@@ -43,9 +43,9 @@ RequestFetcher::ringDoorbell()
         ++doorbells;
         trace::instant(trace::Kind::Doorbell, doorbells.value(),
                        traceTrack());
-        if (active)
+        if (!queues.fetcherParked())
             return; // already fetching; doorbell is redundant
-        active = true;
+        queues.doorbellArrived();
         issueBurst();
     });
 }
@@ -86,32 +86,21 @@ RequestFetcher::processBurst()
         if (!cfg.doorbellFlag) {
             // Ablation mode: no flag protocol; the host doorbells
             // every submission, so parking silently is safe.
-            active = false;
+            RoleGuard device(queues.deviceRole);
+            queues.parkWithoutFlag();
             return;
         }
-        // Park: publish the doorbell-request flag to host memory,
-        // then sweep the queue once more after the flag lands. A
-        // descriptor submitted while the flag write was in flight
-        // would otherwise be stranded: its submitter saw the flag
-        // clear and skipped the doorbell.
+        // Park once the 8-byte flag write lands in host memory; the
+        // park step's re-fetch picks up whatever raced in meanwhile.
         link.send(LinkDir::ToHost, 8, 0, [this]() {
             RoleGuard device(queues.deviceRole);
-            queues.requestDoorbell();
-            burst.clear();
-            queues.fetchBurst(burst, cfg.burstSize);
-            if (burst.empty()) {
-                // Doorbell-clear race closure: parking is only legal
-                // with the request flag published, otherwise a host
-                // submitter that observed the flag clear would skip
-                // its doorbell and the descriptor would strand with
-                // the fetcher asleep. The flag write and this sweep
-                // run in one event, so nothing may have consumed the
-                // flag in between.
+            if (queues.park(burst, cfg.burstSize) == 0) {
+                // The flag write and the re-fetch run in one event,
+                // so nothing may have consumed the flag in between.
                 KMU_INVARIANT(queues.doorbellRequested(),
                               "%s parking without the doorbell-request "
                               "flag set: a raced submission would be "
                               "stranded", name().c_str());
-                active = false;
                 return;
             }
             // Raced-in requests: service them and keep fetching.

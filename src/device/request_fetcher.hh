@@ -50,8 +50,6 @@ class RequestFetcher : public SimObject
      */
     void ringDoorbell();
 
-    bool fetching() const { return active; }
-
     /** @{ Statistics. */
     Counter doorbells;
     Counter burstReads;
@@ -90,7 +88,6 @@ class RequestFetcher : public SimObject
      *  the next burst before servicing this one), reused so the
      *  fetch path allocates nothing. */
     std::vector<RequestDescriptor> burst;
-    bool active = false;
 };
 
 } // namespace kmu

@@ -99,14 +99,51 @@ class SwQueuePair
         return completions.tryPush(desc);
     }
 
-    /** Device side: no new descriptors seen — request a doorbell. */
-    void
-    requestDoorbell() KMU_REQUIRES(deviceRole)
+    /**
+     * Device side, after an empty burst: park, publish the
+     * doorbell-request flag, then re-fetch once into @p out. A
+     * request submitted after the empty burst but before the flag
+     * was visible has a submitter that skipped its doorbell, so it
+     * un-parks the fetcher here instead of stranding. Parking before
+     * the flag goes out means a doorbell rung on the flag lands after
+     * the park, never under it.
+     * @return descriptors fetched (0: parked).
+     */
+    std::size_t
+    park(std::vector<RequestDescriptor> &out,
+         std::size_t max = descriptorBurst) KMU_REQUIRES(deviceRole)
     {
+        parked.store(true, std::memory_order_release);
         doorbellNeeded.store(true, std::memory_order_release);
+        const std::size_t n = fetchBurst(out, max);
+        if (n != 0)
+            parked.store(false, std::memory_order_release);
+        return n;
     }
 
-    /** True when the fetcher is parked waiting for a doorbell. */
+    /** Device side: park without the flag (the host rings on every
+     *  submission; DeviceParams::doorbellFlag = false). */
+    void
+    parkWithoutFlag() KMU_REQUIRES(deviceRole)
+    {
+        parked.store(true, std::memory_order_release);
+    }
+
+    /** A doorbell reached the device: the fetcher runs again. */
+    void
+    doorbellArrived()
+    {
+        parked.store(false, std::memory_order_release);
+    }
+
+    /** True while the fetcher is parked waiting for a doorbell. */
+    bool
+    fetcherParked() const
+    {
+        return parked.load(std::memory_order_acquire);
+    }
+
+    /** True while the doorbell-request flag is published. */
     bool
     doorbellRequested() const
     {
@@ -134,6 +171,10 @@ class SwQueuePair
     SpscRing<CompletionDescriptor> completions;
     std::atomic<bool> doorbellNeeded //!< starts parked
         KMU_ATOMIC_ROLE(device_sets, host_clears, both_read){true};
+    /** Written by every doorbell, so on a line of its own: the
+     *  host's stores do not evict the device's ring state. */
+    alignas(64) std::atomic<bool> parked
+        KMU_ATOMIC_ROLE(host_clears, device_writes, device_reads){true};
 };
 
 } // namespace kmu

@@ -1,26 +1,7 @@
 #include "sim/sim_object.hh"
 
-#include <cmath>
-
-#include "common/units.hh"
-
 namespace kmu
 {
-
-ClockDomain::ClockDomain(double freq_hz)
-    : freq(freq_hz)
-{
-    kmuAssert(freq_hz > 0.0, "clock frequency must be positive");
-    periodTicks = Tick(std::llround(double(tickPerSec) / freq_hz));
-    kmuAssert(periodTicks > 0, "clock frequency too high for tick base");
-}
-
-Tick
-ClockDomain::clockEdge(Tick t) const
-{
-    const Tick rem = t % periodTicks;
-    return rem == 0 ? t : t + (periodTicks - rem);
-}
 
 SimObject::SimObject(std::string name, EventQueue &queue,
                      StatGroup *stat_parent)

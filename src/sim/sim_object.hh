@@ -1,6 +1,6 @@
 /**
  * @file
- * SimObject and ClockDomain: common base for timed components.
+ * SimObject: common base for timed components.
  */
 
 #ifndef KMU_SIM_SIM_OBJECT_HH
@@ -15,34 +15,6 @@
 
 namespace kmu
 {
-
-/**
- * Frequency context that converts between cycles and ticks.
- */
-class ClockDomain
-{
-  public:
-    /** @param freq_hz clock frequency in Hz (e.g. 2.5e9). */
-    explicit ClockDomain(double freq_hz);
-
-    double frequencyHz() const { return freq; }
-
-    /** Tick length of one cycle. */
-    Tick period() const { return periodTicks; }
-
-    /** Convert a cycle count to ticks. */
-    Tick cyclesToTicks(Cycles cycles) const { return cycles * periodTicks; }
-
-    /** Convert ticks to whole cycles (floor). */
-    Cycles ticksToCycles(Tick t) const { return t / periodTicks; }
-
-    /** First clock edge at or after @p t. */
-    Tick clockEdge(Tick t) const;
-
-  private:
-    double freq;
-    Tick periodTicks;
-};
 
 /**
  * Named component bound to an EventQueue, owning a StatGroup.

@@ -187,7 +187,7 @@ TEST(SwQueueEngineTest, StarvedDeviceThreadIsNotReissued)
                                .queueDepth = 64});
     const std::size_t pair = dev.addQueuePair();
     Scheduler sched;
-    SwQueueEngine engine(sched, dev, pair);
+    SwQueueEngine engine(sched, dev, {pair}, topo::Interleave::CacheLine);
     std::uint64_t value = 0;
     sched.spawn([&]() { value = engine.read64(64 * 7); });
     std::thread late([&dev]() {

@@ -1,13 +1,9 @@
 /**
  * @file
- * Tests for access-trace recording, persistence, and plan synthesis.
+ * Tests for access-trace recording and plan synthesis.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
-#include <string>
 
 #include "access/mapped_engine.hh"
 #include "apps/access_trace.hh"
@@ -89,84 +85,10 @@ TEST(AccessTraceTest, PlanOutlivesTrace)
     EXPECT_EQ(plan(0, 0, 0).batch, 3u);
 }
 
-TEST(AccessTraceTest, SaveLoadRoundTrip)
-{
-    AccessTrace trace;
-    for (std::uint32_t b : {1u, 2u, 4u, 4u, 2u, 1u, 8u})
-        trace.add(b);
-    const std::string path = ::testing::TempDir() + "kmu_trace.txt";
-    trace.save(path);
-
-    const AccessTrace loaded = AccessTrace::load(path);
-    ASSERT_EQ(loaded.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(loaded.batchAt(i), trace.batchAt(i));
-    std::remove(path.c_str());
-}
-
 TEST(AccessTraceTest, EmptyTraceCannotPlan)
 {
     AccessTrace trace;
     EXPECT_DEATH(trace.makePlan(100), "empty");
-}
-
-/** Write @p text to a temporary trace file named after the running
- *  test (ctest runs the tests in parallel) and return its path. */
-std::string
-writeTraceFile(const std::string &text)
-{
-    const std::string path =
-        ::testing::TempDir() + "kmu_bad_trace_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        ".txt";
-    std::ofstream(path) << text;
-    return path;
-}
-
-TEST(AccessTraceTest, LoadRejectsNonNumericLine)
-{
-    const std::string path = writeTraceFile("1\n4x\n2\n");
-    EXPECT_EXIT(AccessTrace::load(path), ::testing::ExitedWithCode(1),
-                "\\.txt:2: batch '4x' is not a number");
-    std::remove(path.c_str());
-}
-
-TEST(AccessTraceTest, LoadRejectsNegativeBatch)
-{
-    const std::string path = writeTraceFile("1\n2\n-1\n");
-    EXPECT_EXIT(AccessTrace::load(path), ::testing::ExitedWithCode(1),
-                "\\.txt:3: negative batch -1");
-    std::remove(path.c_str());
-}
-
-TEST(AccessTraceTest, LoadRejectsZeroBatch)
-{
-    const std::string path = writeTraceFile("0\n");
-    EXPECT_EXIT(AccessTrace::load(path), ::testing::ExitedWithCode(1),
-                "\\.txt:1: zero batch");
-    std::remove(path.c_str());
-}
-
-TEST(AccessTraceTest, LoadRejectsOutOfRangeBatch)
-{
-    std::string path = writeTraceFile("16\n17\n");
-    EXPECT_EXIT(AccessTrace::load(path), ::testing::ExitedWithCode(1),
-                "\\.txt:2: batch 17 out of range");
-    path = writeTraceFile("99999999999999999999999\n");
-    EXPECT_EXIT(AccessTrace::load(path), ::testing::ExitedWithCode(1),
-                "\\.txt:1: batch '9+' out of range");
-    std::remove(path.c_str());
-}
-
-TEST(AccessTraceTest, LoadRejectsEmptyFileAndBlankLines)
-{
-    std::string path = writeTraceFile("");
-    EXPECT_EXIT(AccessTrace::load(path), ::testing::ExitedWithCode(1),
-                "\\.txt: empty access trace");
-    path = writeTraceFile("1\n\n2\n");
-    EXPECT_EXIT(AccessTrace::load(path), ::testing::ExitedWithCode(1),
-                "\\.txt:2: empty line");
-    std::remove(path.c_str());
 }
 
 } // anonymous namespace

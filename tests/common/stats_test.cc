@@ -43,26 +43,6 @@ TEST(StatsTest, AverageTracksMoments)
     EXPECT_EQ(a.min(), 0.0);
 }
 
-TEST(StatsTest, HistogramBinsAndOutliers)
-{
-    StatGroup group("g");
-    Histogram h(group, "h", "hist", 0.0, 10.0, 4); // [0,40) in 4 bins
-    h.sample(-1.0);  // underflow
-    h.sample(0.0);   // bin 0
-    h.sample(9.99);  // bin 0
-    h.sample(10.0);  // bin 1
-    h.sample(39.9);  // bin 3
-    h.sample(40.0);  // overflow
-    h.sample(1000);  // overflow
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(2), 0u);
-    EXPECT_EQ(h.binCount(3), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.samples(), 7u);
-}
-
 TEST(StatsTest, GroupPathsNest)
 {
     StatGroup root("system");
@@ -119,26 +99,6 @@ TEST(StatsTest, GaugeTracksSourceAndLatchesBaseline)
     raw = 47;
     EXPECT_EQ(g.value(), 7u);
     EXPECT_EQ(g.render(), "7");
-}
-
-TEST(StatsTest, HistogramMergeFoldsCounts)
-{
-    StatGroup group("g");
-    Histogram a(group, "a", "", 0.0, 10.0, 4);
-    Histogram b(group, "b", "", 0.0, 10.0, 4);
-    a.sample(5.0);   // bin 0
-    a.sample(-1.0);  // underflow
-    b.sample(15.0);  // bin 1
-    b.sample(100.0); // overflow
-    a.merge(b);
-    EXPECT_EQ(a.samples(), 4u);
-    EXPECT_EQ(a.binCount(0), 1u);
-    EXPECT_EQ(a.binCount(1), 1u);
-    EXPECT_EQ(a.underflow(), 1u);
-    EXPECT_EQ(a.overflow(), 1u);
-    EXPECT_DOUBLE_EQ(a.mean(), (5.0 - 1.0 + 15.0 + 100.0) / 4.0);
-    // The merged-from histogram is untouched.
-    EXPECT_EQ(b.samples(), 2u);
 }
 
 TEST(StatsTest, LogHistogramBucketBoundaries)

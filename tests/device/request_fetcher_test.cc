@@ -70,7 +70,7 @@ TEST_F(FetcherFixture, DoorbellFetchesAndCompletes)
     EXPECT_TRUE(qp.reapCompletion(c));
     EXPECT_EQ(c.hostAddr, 0xaaau);
     // Fetcher parked again and requested a doorbell.
-    EXPECT_FALSE(fetcher->fetching());
+    EXPECT_TRUE(qp.fetcherParked());
     EXPECT_TRUE(qp.doorbellRequested());
 }
 
@@ -175,7 +175,7 @@ TEST_F(FetcherFixture, ParkingAlwaysPublishesDoorbellFlag)
             fetcher->ringDoorbell();
             eq.run();
             // Parked, flag republished, nothing left in the ring.
-            EXPECT_FALSE(fetcher->fetching());
+            EXPECT_TRUE(qp.fetcherParked());
             EXPECT_TRUE(qp.doorbellRequested());
             std::vector<RequestDescriptor> leftover;
             {

@@ -1,9 +1,11 @@
 # Retry-exhaustion gate: at fault rate 0.02 the composite schedule's
 # bursts (MappedReadError at 0.8) make some memory-mapped reads fail
-# on every re-issue their retry budget allows. The campaign must not
-# panic on them: each such read is failed back to the workload and
-# counted in deadline_failed, so every read the campaign issues is
-# either verified or counted as failed, and none verifies wrong data.
+# on every re-issue their retry budget allows, and at rates 0.4 and
+# 0.5 lost and corrupted completions do the same to some
+# software-queue reads. The campaign must not panic on them: each
+# such read is failed back to the workload and counted in
+# deadline_failed, so every read the campaign issues is either
+# verified or counted as failed, and none verifies wrong data.
 #
 # Staging-exhaustion gate: on the software-queue engine, lost write
 # completions must not leak the 32 posted-write staging slots. Each
@@ -22,17 +24,19 @@ if(NOT WORK_DIR)
     set(WORK_DIR ${CMAKE_CURRENT_BINARY_DIR})
 endif()
 
-foreach(mech ondemand prefetch)
-    set(csv ${WORK_DIR}/faultstorm_exhaustion_${mech}.csv)
+foreach(cell "ondemand;0.02" "prefetch;0.02" "swqueue;0.4" "swqueue;0.5")
+    list(GET cell 0 mech)
+    list(GET cell 1 rate)
+    set(csv ${WORK_DIR}/faultstorm_exhaustion_${mech}_${rate}.csv)
     execute_process(
-        COMMAND ${KMU_FAULTSTORM} seed=1 rates=0.02 mechanisms=${mech}
+        COMMAND ${KMU_FAULTSTORM} seed=1 rates=${rate} mechanisms=${mech}
                 ops=1000 fibers=4
         OUTPUT_FILE ${csv}
         ERROR_VARIABLE err
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR
-            "kmu_faultstorm mechanisms=${mech} rates=0.02 failed "
+            "kmu_faultstorm mechanisms=${mech} rates=${rate} failed "
             "(rc=${rc}): an exhausted retry budget panicked, or a read "
             "verified wrong data: ${err}")
     endif()
@@ -49,23 +53,25 @@ foreach(mech ondemand prefetch)
     list(GET cells 25 violations)
     if(NOT verify_errors EQUAL 0 OR NOT violations EQUAL 0)
         message(FATAL_ERROR
-            "${mech}: ${verify_errors} verify errors, ${violations} "
-            "invariant violations (row: ${row})")
+            "${mech} rates=${rate}: ${verify_errors} verify errors, "
+            "${violations} invariant violations (row: ${row})")
     endif()
     if(NOT accesses EQUAL ops)
         message(FATAL_ERROR
-            "${mech}: ${accesses} reads for ${ops} operations; every "
-            "operation issues exactly one read (row: ${row})")
+            "${mech} rates=${rate}: ${accesses} reads for ${ops} "
+            "operations; every operation issues exactly one read "
+            "(row: ${row})")
     endif()
     if(NOT failed GREATER 0)
         message(FATAL_ERROR
-            "${mech}: no read ran out of retries, so this gate no "
-            "longer exercises retry exhaustion (row: ${row})")
+            "${mech} rates=${rate}: no read ran out of retries, so "
+            "this gate no longer exercises retry exhaustion "
+            "(row: ${row})")
     endif()
     math(EXPR verified "${ops} - ${failed}")
     message(STATUS
-        "${mech}: ${verified} reads verified, ${failed} failed back "
-        "after exhausting their retries, of ${ops}")
+        "${mech} rates=${rate}: ${verified} reads verified, ${failed} "
+        "failed back after exhausting their retries, of ${ops}")
 endforeach()
 
 foreach(cell "0.07;1000" "0.06;3000" "0.03;6000" "0.01;16000")

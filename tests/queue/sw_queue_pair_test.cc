@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/thread_annotations.hh"
 #include "queue/sw_queue_pair.hh"
 
@@ -55,9 +57,53 @@ TEST(SwQueuePairTest, DoorbellStartsRequested)
     EXPECT_TRUE(qp.consumeDoorbellRequest());
     // Consumed: second check fails until the device re-requests.
     EXPECT_FALSE(qp.consumeDoorbellRequest());
-    qp.requestDoorbell();
+    std::vector<RequestDescriptor> burst;
+    EXPECT_EQ(qp.park(burst), 0u);
     EXPECT_TRUE(qp.doorbellRequested());
     EXPECT_TRUE(qp.consumeDoorbellRequest());
+}
+
+TEST(SwQueuePairTest, FetcherStartsParkedAndDoorbellWakesIt)
+{
+    SwQueuePair qp(16);
+    // Single-threaded driver: embodies both queue-pair roles.
+    RoleGuard device(qp.deviceRole);
+    EXPECT_TRUE(qp.fetcherParked());
+    qp.doorbellArrived();
+    EXPECT_FALSE(qp.fetcherParked());
+    std::vector<RequestDescriptor> burst;
+    EXPECT_EQ(qp.park(burst), 0u);
+    EXPECT_TRUE(qp.fetcherParked());
+    qp.doorbellArrived();
+    // The flagless park leaves the doorbell-request flag alone.
+    RoleGuard host(qp.hostRole);
+    EXPECT_TRUE(qp.consumeDoorbellRequest());
+    qp.parkWithoutFlag();
+    EXPECT_TRUE(qp.fetcherParked());
+    EXPECT_FALSE(qp.doorbellRequested());
+}
+
+// The race the park step closes: a request lands after the fetcher's
+// empty burst but before its park step, and its submitter skips the
+// doorbell because the flag is still clear. The park step's re-fetch
+// must hand that request back and leave the fetcher running; parking
+// would strand it.
+TEST(SwQueuePairTest, ParkStepReturnsRacedSubmission)
+{
+    SwQueuePair qp(16);
+    // Single-threaded driver: embodies both queue-pair roles.
+    RoleGuard host(qp.hostRole);
+    RoleGuard device(qp.deviceRole);
+    ASSERT_TRUE(qp.consumeDoorbellRequest());
+    qp.doorbellArrived();
+    std::vector<RequestDescriptor> burst;
+    ASSERT_EQ(qp.fetchBurst(burst), 0u); // the empty burst
+    ASSERT_TRUE(qp.submit({64, 7}));     // the raced submission...
+    EXPECT_FALSE(qp.consumeDoorbellRequest()); // ...rings no doorbell
+    ASSERT_EQ(qp.park(burst), 1u);
+    EXPECT_EQ(burst[0].hostAddr, 7u);
+    EXPECT_FALSE(qp.fetcherParked());
+    EXPECT_EQ(qp.pendingRequests(), 0u);
 }
 
 TEST(SwQueuePairTest, CompletionFlow)

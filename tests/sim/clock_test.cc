@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for ClockDomain and SimObject plumbing.
+ * Unit tests for time units and SimObject plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -12,31 +12,6 @@ namespace kmu
 {
 namespace
 {
-
-TEST(ClockDomainTest, PeriodFromFrequency)
-{
-    ClockDomain ghz1(1e9);
-    EXPECT_EQ(ghz1.period(), nanoseconds(1));
-    ClockDomain ghz2_5(2.5e9);
-    EXPECT_EQ(ghz2_5.period(), picoseconds(400));
-}
-
-TEST(ClockDomainTest, CycleConversionsRoundTrip)
-{
-    ClockDomain clk(2.5e9);
-    EXPECT_EQ(clk.cyclesToTicks(100), picoseconds(40000));
-    EXPECT_EQ(clk.ticksToCycles(picoseconds(40000)), 100u);
-    EXPECT_EQ(clk.ticksToCycles(picoseconds(40399)), 100u);
-}
-
-TEST(ClockDomainTest, ClockEdgeSnapsUp)
-{
-    ClockDomain clk(2.5e9); // 400 ps period
-    EXPECT_EQ(clk.clockEdge(0), 0u);
-    EXPECT_EQ(clk.clockEdge(1), 400u);
-    EXPECT_EQ(clk.clockEdge(400), 400u);
-    EXPECT_EQ(clk.clockEdge(401), 800u);
-}
 
 TEST(UnitsTest, TimeConstructors)
 {

@@ -289,8 +289,12 @@ spanFixture()
     now = 3000;
     buf.record(Kind::DramRead, Phase::End, 5, 0, 0);      // orphan
     buf.record(Kind::DevService, Phase::Begin, 9, 0, 0);  // unclosed
+    // Named after the running test: ctest runs the tests that share
+    // this fixture as concurrent processes.
     const std::string path =
-        std::string(::testing::TempDir()) + "spans.kmt";
+        ::testing::TempDir() + "spans_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".kmt";
     buf.writeFile(path);
     TraceBuffer::FileData data = TraceBuffer::readFile(path);
     std::remove(path.c_str());

@@ -14,9 +14,9 @@
  * image's known mix64 pattern and writes are read back, so a fault
  * that the recovery path fails to absorb shows up as a verify error,
  * not just a slow run. A read the engine fails back instead (a
- * deadline error, or a mapped read still bad after its whole retry
- * budget) is counted in the deadline_failed column, so every read is
- * either verified or counted. The campaign is deterministic — fixed
+ * deadline error, or a read still bad after its whole retry budget)
+ * is counted in the deadline_failed column, so every read is either
+ * verified or counted. The campaign is deterministic — fixed
  * seed and rates produce a byte-identical CSV (the software-queue
  * mechanism runs the emulated device in manual-pump mode for this).
  *
@@ -104,8 +104,8 @@ patternImage(std::size_t bytes)
 struct CellResult
 {
     std::uint64_t verifyErrors = 0;
-    /** Reads failed back to the workload: past a deadline, or a
-     *  mapped read out of retries. */
+    /** Reads failed back to the workload: past a deadline, or out
+     *  of retries. */
     std::uint64_t deadlineFailed = 0;
     std::uint64_t accesses = 0;
     std::uint64_t writes = 0;
@@ -144,8 +144,6 @@ runCell(Mechanism mech, FaultPlan *plan, std::uint64_t seed,
         cfg.health.mode = health_mode;
     }
     Runtime rt(patternImage(imageBytes), cfg);
-    const bool deadlines = rt.healthController() != nullptr &&
-                           health_mode == health::Mode::Full;
 
     const std::uint64_t violationsBefore = check::violationCount();
     CellResult out;
@@ -170,23 +168,6 @@ runCell(Mechanism mech, FaultPlan *plan, std::uint64_t seed,
                         line[b] = std::uint8_t(mix64(op ^ addr) >>
                                                ((b % 8) * 8));
                     eng.writeLine(addr, line);
-                    if (deadlines) {
-                        // Under per-request deadlines the readback
-                        // may legitimately fail instead of retrying
-                        // forever; verify the first word of what did
-                        // arrive.
-                        std::uint64_t word = 0;
-                        if (eng.tryRead64(addr, word) ==
-                            AccessStatus::Ok) {
-                            std::uint64_t want;
-                            std::memcpy(&want, line, 8);
-                            if (word != want)
-                                out.verifyErrors++;
-                        } else {
-                            out.deadlineFailed++;
-                        }
-                        continue;
-                    }
                     if (eng.tryReadLines(&addr, 1, back) !=
                         AccessStatus::Ok)
                         out.deadlineFailed++;
